@@ -28,11 +28,14 @@ from .channel import (
     unit_disc_range,
 )
 from .graph import (
+    EdgeList,
     GraphMatrices,
-    adjacency_from_snr,
+    SpectralCeilingError,
     algebraic_connectivity,
+    count_components,
     count_partitions_eigen,
     count_partitions_unionfind,
+    edges_from_snr,
     is_connected,
 )
 from .montecarlo import (

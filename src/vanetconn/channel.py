@@ -16,8 +16,8 @@ __all__ = [
     "deterministic_snr",
     "unit_disc_range",
     "sample_rayleigh_snr",
-    "snr_matrix_unit_disc",
-    "snr_matrix_rayleigh",
+    "snr_unit_disc",
+    "snr_rayleigh",
     "dbm_to_mw",
     "mw_to_dbm",
     "db_to_linear",
@@ -86,40 +86,37 @@ def sample_rayleigh_snr(d: float, budget: LinkBudget, rng: np.random.Generator) 
     return -mean * math.log(u)
 
 
-def snr_matrix_unit_disc(distances: np.ndarray, budget: LinkBudget) -> np.ndarray:
-    """Deterministic SNR for every pair; zero diagonal.
+def snr_unit_disc(distances: np.ndarray, budget: LinkBudget) -> np.ndarray:
+    """Deterministic SNR at each distance of a pair vector.
 
-    Coincident vehicles (off-diagonal zero distance) get infinite SNR, the
-    limit of the power law, so they always clear any threshold.
+    Coincident vehicles (zero distance) get infinite SNR, the limit of the
+    power law, so they always clear any threshold.
     """
-    d = np.asarray(distances, dtype=float)
+    snr = distances**budget.ple
     with np.errstate(divide="ignore"):
-        snr = budget.snr_scale / d**budget.ple
-    np.fill_diagonal(snr, 0.0)
-    return snr
+        return np.divide(budget.snr_scale, snr, out=snr)
 
 
-def snr_matrix_rayleigh(
+def snr_rayleigh(
     distances: np.ndarray, budget: LinkBudget, rng: np.random.Generator
 ) -> np.ndarray:
-    """Fading SNR for every unordered pair, mirrored for channel reciprocity.
+    """Fading SNR at each distance of a pair vector, one draw per pair.
 
-    One independent exponential draw per pair (upper triangle, row-major), with
-    the mean given by the deterministic SNR at the pair distance.
+    Each draw is exponential with mean the deterministic SNR at the pair
+    distance, sampled by inverse CDF from one ``rng.random`` call in pair
+    order; a pair is one reciprocal link, so there is nothing to mirror.
+    Computed in place, which keeps the result bit-identical to
+    ``-means * log(1 - u)`` while holding only two pair-sized arrays.
     """
-    d = np.asarray(distances, dtype=float)
-    n = d.shape[0]
-    iu = np.triu_indices(n, k=1)
-    with np.errstate(divide="ignore"):
-        means = budget.snr_scale / d[iu] ** budget.ple
-    u = 1.0 - rng.random(iu[0].size)
+    snr = snr_unit_disc(distances, budget)
+    u = rng.random(snr.size)
+    np.subtract(1.0, u, out=u)  # maps [0, 1) onto (0, 1]
+    np.log(u, out=u)
     with np.errstate(invalid="ignore"):
-        draws = -means * np.log(u)
+        np.multiply(snr, u, out=snr)
+    np.negative(snr, out=snr)
     # inf * 0 at coincident vehicles: keep the infinite-SNR limit
-    draws[np.isnan(draws)] = np.inf
-    snr = np.zeros((n, n))
-    snr[iu] = draws
-    snr += snr.T
+    snr[np.isnan(snr)] = np.inf
     return snr
 
 

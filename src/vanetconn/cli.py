@@ -78,6 +78,19 @@ def _spec_type(flag: str):
     return parse
 
 
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rho", type=_spec_type("--rho"), default=[0.019],
@@ -90,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="reference path loss times antenna gain")
     common.add_argument("--alpha", type=int, default=2, help="path-loss exponent")
     common.add_argument("--length-m", type=float, default=10_000.0, help="road length [m]")
-    common.add_argument("--big-m", type=int, default=10,
+    common.add_argument("--big-m", type=_int_at_least(1), default=10,
                         help="one-side neighbour span for link/vehicle metrics")
     common.add_argument("--model", choices=["unit_disc", "rayleigh", "both"], default="both")
     common.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
@@ -107,11 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common],
                          help="graph-ensemble estimates on a (rho, psi) grid")
-    sim.add_argument("--trials", type=int, default=1000, help="trials per grid point")
-    sim.add_argument("--seed", type=int, default=1, help="master seed")
-    sim.add_argument("--decider", choices=list(montecarlo.DECIDERS), default="eigen",
-                     help="connectivity decision path")
-    sim.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    sim.add_argument("--trials", type=_int_at_least(1), default=1000, help="trials per grid point")
+    sim.add_argument("--seed", type=_int_at_least(0), default=1, help="master seed")
+    sim.add_argument("--decider", choices=list(montecarlo.DECIDERS), default="components",
+                     help="connectivity decision: components (exact, default), eigen "
+                          "(Laplacian spectrum) or both (exact, cross-checked by eigen)")
+    sim.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel trial workers")
     sim.add_argument("--preset", choices=["density-sweep"], default=None,
                      help="density-sweep: densities 0.002..0.03, thresholds 5 and 15 dB, "
                           "both models")

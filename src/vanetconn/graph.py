@@ -1,34 +1,69 @@
-"""Adjacency/Laplacian construction and the connectivity deciders.
+"""Snapshot graphs and the connectivity deciders.
 
-The spectral decider follows the Laplacian route: the number of zero
-eigenvalues equals the number of connected components, so a graph is
-connected exactly when the second-smallest eigenvalue (the algebraic
-connectivity) is positive.  A disjoint-set count over the same edges serves
-as the exact combinatorial oracle, since "zero" needs a tolerance in floating
-point.
+A trial's graph is an edge list thresholded from the pair SNR vector.  The
+exact decider counts its connected components with scipy's
+``connected_components``.  The spectral decider follows the Laplacian route:
+the number of zero eigenvalues equals the number of connected components, so
+a graph is connected exactly when the second-smallest eigenvalue (the
+algebraic connectivity) is positive.  It needs a dense Laplacian and a
+tolerance for "zero", and serves as the cross-check.
+
+The spectral functions take either an ``EdgeList`` or a ``GraphMatrices``
+(a validated dense adjacency); both expose ``n``, ``degrees`` and
+``laplacian``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import scenario
+
 __all__ = [
+    "EdgeList",
     "GraphMatrices",
-    "UnionFind",
+    "SpectralCeilingError",
+    "edges_from_snr",
     "matrices_from_adjacency",
-    "adjacency_from_snr",
+    "count_components",
     "laplacian_eigenvalues",
     "algebraic_connectivity",
+    "check_spectral_ceiling",
     "count_partitions_eigen",
     "count_partitions_unionfind",
     "is_connected",
-    "dump_matrices",
 ]
 
 _RELATIVE_ZERO_TOL = 1e-8
+
+
+class SpectralCeilingError(ArithmeticError):
+    """The spectral zero tolerance could exceed the algebraic connectivity."""
+
+
+@dataclass(frozen=True)
+class EdgeList:
+    """Undirected simple graph on n vertices: edge k joins i[k] < j[k]."""
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.i, minlength=self.n) + np.bincount(self.j, minlength=self.n)
+
+    @property
+    def laplacian(self) -> np.ndarray:
+        """Dense float Laplacian, built on every access; only the spectral path uses it."""
+        lap = np.zeros((self.n, self.n))
+        lap[self.i, self.j] = -1.0
+        lap[self.j, self.i] = -1.0
+        lap[np.diag_indices(self.n)] = self.degrees
+        return lap
 
 
 @dataclass(frozen=True)
@@ -46,6 +81,12 @@ class GraphMatrices:
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
+
+
+def edges_from_snr(snr: np.ndarray, psi: float, n: int) -> EdgeList:
+    """Threshold the pair SNR vector of n vehicles: an edge exists where snr >= psi."""
+    i, j = scenario.pair_endpoints(np.flatnonzero(snr >= psi), n)
+    return EdgeList(n=n, i=i, j=j)
 
 
 def matrices_from_adjacency(adjacency: np.ndarray) -> GraphMatrices:
@@ -69,93 +110,70 @@ def matrices_from_adjacency(adjacency: np.ndarray) -> GraphMatrices:
     return GraphMatrices(adjacency=a, degrees=degrees, laplacian=laplacian)
 
 
-def adjacency_from_snr(snr: np.ndarray, psi: float) -> GraphMatrices:
-    """Threshold a symmetric SNR matrix: an edge exists where snr >= psi."""
-    s = np.asarray(snr, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"SNR matrix must be square, got shape {s.shape}")
-    if not np.array_equal(s, s.T):
-        raise ValueError("SNR matrix must be symmetric (channel reciprocity)")
-    if not psi > 0:
-        raise ValueError(f"threshold must be > 0, got {psi!r}")
-    adjacency = (s >= psi).astype(np.int64)
-    np.fill_diagonal(adjacency, 0)
-    return matrices_from_adjacency(adjacency)
+def count_components(g: EdgeList) -> int:
+    """Exact number of connected components."""
+    # imported here: scipy.sparse.csgraph costs import time that only
+    # ensemble runs need
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = coo_array((np.ones(g.i.size, dtype=np.int8), (g.i, g.j)), shape=(g.n, g.n))
+    return int(connected_components(adjacency, directed=False, return_labels=False))
 
 
-def laplacian_eigenvalues(g: GraphMatrices) -> np.ndarray:
+def count_partitions_unionfind(g: GraphMatrices) -> int:
+    """Exact component count of a dense snapshot (the combinatorial oracle)."""
+    i, j = np.nonzero(np.triu(g.adjacency, k=1))
+    return count_components(EdgeList(n=g.n, i=i, j=j))
+
+
+def laplacian_eigenvalues(g: EdgeList | GraphMatrices) -> np.ndarray:
     """All Laplacian eigenvalues, ascending; raises on eigensolver failure."""
-    return np.linalg.eigvalsh(g.laplacian.astype(float))
+    return np.linalg.eigvalsh(np.asarray(g.laplacian, dtype=float))
 
 
-def algebraic_connectivity(g: GraphMatrices) -> float:
+def algebraic_connectivity(g: EdgeList | GraphMatrices) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff the graph is connected."""
     return float(laplacian_eigenvalues(g)[1])
 
 
-def _zero_tolerance(eigenvalues: np.ndarray, zero_tol: float | None) -> float:
-    if zero_tol is not None:
-        return zero_tol
-    return _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
+def check_spectral_ceiling(n: int, max_degree: int, zero_tol: float | None = None) -> None:
+    """Raise SpectralCeilingError where the zero test could misread a connected graph.
+
+    A connected graph on n vertices has algebraic connectivity at least
+    4 / (n * diameter) >= 4 / (n (n - 1)) (Mohar 1991), and each component
+    of a disconnected one obeys the same bound on its own vertex count.  The
+    default tolerance is 1e-8 * max(1, lambda_max), and lambda_max is at most
+    min(n, 2 * max_degree).  While that tolerance bound stays below 4 / (n (n - 1)),
+    no nonzero eigenvalue can be read as zero.  A path graph passes up to
+    n = 10^4.
+    """
+    if zero_tol is None:
+        zero_tol = _RELATIVE_ZERO_TOL * max(1.0, float(min(n, 2 * max_degree)))
+    floor = 4.0 / (n * (n - 1))
+    if zero_tol >= floor:
+        raise SpectralCeilingError(
+            f"spectral zero tolerance {zero_tol:.3g} reaches the algebraic-connectivity "
+            f"floor {floor:.3g} of a {n}-vertex graph; use the components decider"
+        )
 
 
-def count_partitions_eigen(g: GraphMatrices, zero_tol: float | None = None) -> int:
-    """Number of connected components as the count of (near-)zero eigenvalues."""
+def _spectrum(g: EdgeList | GraphMatrices, zero_tol: float | None) -> tuple[np.ndarray, float]:
+    """Eigenvalues and the zero tolerance, after the ceiling check."""
+    check_spectral_ceiling(g.n, int(g.degrees.max()), zero_tol)
     eigenvalues = laplacian_eigenvalues(g)
-    tol = _zero_tolerance(eigenvalues, zero_tol)
+    if zero_tol is None:
+        zero_tol = _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
+    return eigenvalues, zero_tol
+
+
+def count_partitions_eigen(g: EdgeList | GraphMatrices, zero_tol: float | None = None) -> int:
+    """Number of connected components as the count of (near-)zero eigenvalues."""
+    eigenvalues, tol = _spectrum(g, zero_tol)
     return int(np.count_nonzero(np.abs(eigenvalues) < tol))
 
 
-def count_partitions_unionfind(g: GraphMatrices) -> int:
-    """Exact component count by disjoint-set union over the edges."""
-    uf = UnionFind(g.n)
-    rows, cols = np.nonzero(np.triu(g.adjacency, k=1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        uf.union(i, j)
-    return uf.n_components
-
-
-def is_connected(g: GraphMatrices, zero_tol: float | None = None) -> bool:
+def is_connected(g: EdgeList | GraphMatrices, zero_tol: float | None = None) -> bool:
     """Spectral connectivity decision: algebraic connectivity above the zero tolerance."""
-    eigenvalues = laplacian_eigenvalues(g)
-    return float(eigenvalues[1]) > _zero_tolerance(eigenvalues, zero_tol)
-
-
-def dump_matrices(g: GraphMatrices, directory: str, stem: str = "graph") -> tuple[str, str]:
-    """Write adjacency and Laplacian as space-separated text files for inspection."""
-    os.makedirs(directory, exist_ok=True)
-    adjacency_path = os.path.join(directory, f"{stem}_adjacency.txt")
-    laplacian_path = os.path.join(directory, f"{stem}_laplacian.txt")
-    np.savetxt(adjacency_path, g.adjacency, fmt="%d")
-    np.savetxt(laplacian_path, g.laplacian, fmt="%d")
-    return adjacency_path, laplacian_path
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.n_components = size
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        self.n_components -= 1
-        return True
+    eigenvalues, tol = _spectrum(g, zero_tol)
+    return float(eigenvalues[1]) > tol

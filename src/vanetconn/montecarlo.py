@@ -1,22 +1,24 @@
 """Seeded graph-ensemble simulation of every connectivity metric.
 
-One trial draws a placement, builds the per-pair SNR matrix for the chosen
-channel model, thresholds it into a graph and reads all metrics off that
-graph.  Trial t always uses the stream seeded by (master_seed, t), so results
-are bit-identical regardless of execution order or worker count, and the two
-channel models see the same placements at the same seed.
+One trial draws a placement, computes the SNR of every vehicle pair under the
+chosen channel model, thresholds it into an edge list and reads all metrics
+off that edge list.  Trial t always uses the stream seeded by (master_seed,
+t), so results are bit-identical regardless of execution order or worker
+count, and the two channel models see the same placements at the same seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import channel, graph, scenario
+from .numerics import QuadratureError
 from .scenario import ScenarioParams
 
 __all__ = [
@@ -57,7 +59,7 @@ class TrialOutcome:
     n_isolated_two_side: int  # vehicles with no linked neighbour at all
     n_isolated_forward: int  # vehicles (but the last) with no forward link
     n_isolated_backward: int  # vehicles (but the first) with no backward link
-    decider_mismatch: bool | None  # eigen vs union-find, only when both ran
+    decider_mismatch: bool | None  # spectral vs exact, only when both ran
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,17 @@ def run_trial(
     model: str,
     rng: np.random.Generator,
     big_m: int = 10,
-    decider: str = "eigen",
+    decider: str = "components",
 ) -> TrialOutcome:
-    """One snapshot: placement -> SNR matrix -> graph -> metrics."""
+    """One snapshot: placement -> pair SNR vector -> edge list -> metrics.
+
+    ``components`` decides connectivity exactly.  On the unit disc a link
+    at some distance implies links at every shorter one, so the graph is
+    connected exactly when every successive pair links.  Fading links can
+    jump over an isolated vehicle, so there the connected components are
+    counted.  ``eigen`` uses the spectral test instead; ``both`` reports the
+    exact answer and flags a disagreement of the spectral one.
+    """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     if decider not in DECIDERS:
@@ -157,35 +167,35 @@ def run_trial(
     placement = scenario.placement_from_headways(headways)
     budget = channel.LinkBudget.from_scenario(params)
     if model == UNIT_DISC:
-        snr = channel.snr_matrix_unit_disc(placement.distances, budget)
+        snr = channel.snr_unit_disc(placement.distances, budget)
     else:
-        snr = channel.snr_matrix_rayleigh(placement.distances, budget, rng)
-    g = graph.adjacency_from_snr(snr, params.psi)
+        snr = channel.snr_rayleigh(placement.distances, budget, rng)
+    n = placement.n_vehicles
+    edges = graph.edges_from_snr(snr, params.psi, n)
+
+    degrees = edges.degrees
+    forward_links = np.bincount(edges.i, minlength=n)
+    backward_links = degrees - forward_links
+    linked = np.bincount(edges.j - edges.i, minlength=big_m + 1)[1 : big_m + 1]
 
     mismatch: bool | None = None
     if decider == "eigen":
-        connected = graph.is_connected(g)
-    elif decider == "components":
-        connected = graph.count_partitions_unionfind(g) == 1
+        connected = graph.is_connected(edges)
     else:
-        eigen_connected = graph.is_connected(g)
-        uf_connected = graph.count_partitions_unionfind(g) == 1
-        connected = eigen_connected
-        mismatch = eigen_connected != uf_connected
-
-    n = g.n
-    adjacency = g.adjacency
-    linked = np.zeros(big_m, dtype=np.int64)
-    for m in range(1, min(big_m, n - 1) + 1):
-        linked[m - 1] = int(adjacency.diagonal(m).sum())
-    forward_links = np.triu(adjacency, k=1).sum(axis=1)
-    backward_links = np.tril(adjacency, k=-1).sum(axis=1)
+        if model == UNIT_DISC:
+            # lag-1 pair distances are np.diff(positions), not the headways,
+            # which differ from them by cumsum rounding
+            connected = bool(linked[0] == n - 1)
+        else:
+            connected = graph.count_components(edges) == 1
+        if decider == "both":
+            mismatch = graph.is_connected(edges) != connected
 
     return TrialOutcome(
         connected=connected,
-        degrees=g.degrees,
+        degrees=degrees,
         linked_pairs_by_gap=linked,
-        n_isolated_two_side=int(np.count_nonzero(g.degrees == 0)),
+        n_isolated_two_side=int(np.count_nonzero(degrees == 0)),
         n_isolated_forward=int(np.count_nonzero(forward_links[:-1] == 0)),
         n_isolated_backward=int(np.count_nonzero(backward_links[1:] == 0)),
         decider_mismatch=mismatch,
@@ -327,14 +337,17 @@ def run_ensemble(
     trials: int,
     master_seed: int,
     big_m: int = 10,
-    decider: str = "eigen",
+    decider: str = "components",
     workers: int = 1,
     interior_margin: int | None = None,
+    executor: Executor | None = None,
 ) -> EnsembleResult:
     """Run the full trial ensemble; deterministic in master_seed alone.
 
-    With workers > 1 the trials run in a process pool; the per-trial streams
-    and the index-ordered fold keep the result identical to a serial run.
+    With workers > 1 the trials run in a process pool, ``executor`` if
+    given (``sweep`` shares one across its cells), else one opened for this
+    call; the per-trial streams and the index-ordered fold keep the result
+    identical to a serial run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -354,8 +367,11 @@ def run_ensemble(
     )
     if workers > 1:
         chunk = max(1, trials // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = tuple(pool.map(worker, range(trials), chunksize=chunk))
+        if executor is None:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                stats = tuple(pool.map(worker, range(trials), chunksize=chunk))
+        else:
+            stats = tuple(executor.map(worker, range(trials), chunksize=chunk))
     else:
         stats = tuple(worker(t) for t in range(trials))
     return EnsembleResult(
@@ -375,7 +391,7 @@ def estimate_connectivity(
     model: str,
     trials: int,
     master_seed: int,
-    decider: str = "eigen",
+    decider: str = "components",
     workers: int = 1,
 ) -> EnsembleEstimate:
     """Fraction of trials whose snapshot graph is fully connected."""
@@ -460,7 +476,7 @@ def sweep(
     beta: float,
     ple: int,
     big_m: int = 10,
-    decider: str = "eigen",
+    decider: str = "components",
     workers: int = 1,
     interior_margin: int | None = None,
 ) -> list[SweepRow]:
@@ -468,8 +484,9 @@ def sweep(
 
     Rows follow grid order, then model order.  Per-trial streams depend only
     on (master_seed, trial index), so duplicated grid points produce identical
-    rows and both models share placements at the same seed.  A failing point
-    is recorded in its row and the sweep continues.
+    rows and both models share placements at the same seed.  With workers > 1
+    every cell runs in one process pool.  A point that fails with a numerical
+    or input error is recorded in its row and the sweep continues.
     """
     grid = list(grid)
     if not grid:
@@ -480,47 +497,33 @@ def sweep(
         if model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     rows: list[SweepRow] = []
-    for rho, psi in grid:
-        for model in models:
-            try:
-                params = ScenarioParams(
-                    rho=rho,
-                    road_length=road_length,
-                    tx_power=tx_power,
-                    noise_power=noise_power,
-                    beta=beta,
-                    ple=ple,
-                    psi=psi,
-                )
-                result = run_ensemble(
-                    params,
-                    model,
-                    trials,
-                    master_seed,
-                    big_m=big_m,
-                    decider=decider,
-                    workers=workers,
-                    interior_margin=interior_margin,
-                )
-                rows.append(
-                    SweepRow(
-                        model=model,
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for rho, psi in grid:
+            for model in models:
+                try:
+                    params = ScenarioParams(
                         rho=rho,
+                        road_length=road_length,
+                        tx_power=tx_power,
+                        noise_power=noise_power,
+                        beta=beta,
+                        ple=ple,
                         psi=psi,
-                        n_vehicles=params.n_vehicles,
-                        result=result,
-                        error=None,
                     )
-                )
-            except Exception as exc:  # record and keep sweeping
-                rows.append(
-                    SweepRow(
-                        model=model,
-                        rho=rho,
-                        psi=psi,
-                        n_vehicles=None,
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
+                    result = run_ensemble(
+                        params,
+                        model,
+                        trials,
+                        master_seed,
+                        big_m=big_m,
+                        decider=decider,
+                        workers=workers,
+                        interior_margin=interior_margin,
+                        executor=pool,
                     )
-                )
+                except (ValueError, ArithmeticError, QuadratureError) as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    rows.append(SweepRow(model, rho, psi, None, None, error))
+                else:
+                    rows.append(SweepRow(model, rho, psi, params.n_vehicles, result, None))
     return rows

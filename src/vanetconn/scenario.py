@@ -20,6 +20,8 @@ __all__ = [
     "Placement",
     "sample_headways",
     "placement_from_headways",
+    "pair_distances",
+    "pair_endpoints",
     "erlang_pdf",
     "erlang_cdf",
 ]
@@ -63,7 +65,12 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class Placement:
-    """One sampled snapshot: spacings, coordinates and pairwise distances."""
+    """One sampled snapshot: spacings, coordinates and pairwise distances.
+
+    ``distances`` holds one entry per unordered pair (i, j), i < j, in the
+    row-major upper-triangle order of ``np.triu_indices(n, 1)``: that vector
+    is the only pair layout, shared by the channel draw and the edge list.
+    """
 
     headways: np.ndarray
     positions: np.ndarray
@@ -86,18 +93,42 @@ def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndar
 
 
 def placement_from_headways(headways: np.ndarray) -> Placement:
-    """Build positions and the symmetric distance matrix by prefix sums."""
+    """Build positions by prefix sums and the pair distance vector."""
     headways = np.asarray(headways, dtype=float)
     if headways.ndim != 1 or headways.size < 1:
         raise ValueError("need at least one headway (two vehicles)")
     if not np.all(np.isfinite(headways)) or np.any(headways < 0):
         raise ValueError("headways must be finite and >= 0")
     positions = np.concatenate(([0.0], np.cumsum(headways)))
-    distances = np.abs(positions[:, None] - positions[None, :])
+    distances = pair_distances(positions)
     headways = headways.copy()
     for arr in (headways, positions, distances):
         arr.flags.writeable = False
     return Placement(headways=headways, positions=positions, distances=distances)
+
+
+def pair_distances(positions: np.ndarray) -> np.ndarray:
+    """positions[j] - positions[i] for every pair i < j, row-major.
+
+    Positions are sorted, so each entry is the pair's distance.  Filled one
+    row at a time, which needs no index arrays and no N x N temporary.
+    """
+    n = positions.size
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.subtract(positions[i + 1 :], positions[i], out=out[start:stop])
+        start = stop
+    return out
+
+
+def pair_endpoints(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) vehicles of pair indices k in the layout of ``pair_distances``."""
+    rows = np.arange(n)
+    row_start = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(row_start, k, side="right") - 1
+    return i, k - row_start[i] + i + 1
 
 
 def erlang_pdf(x, m: int, rho: float):

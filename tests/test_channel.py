@@ -11,8 +11,8 @@ from vanetconn.channel import (
     linear_to_db,
     mw_to_dbm,
     sample_rayleigh_snr,
-    snr_matrix_rayleigh,
-    snr_matrix_unit_disc,
+    snr_rayleigh,
+    snr_unit_disc,
     unit_disc_range,
 )
 
@@ -108,27 +108,30 @@ def test_rayleigh_draw_deterministic():
 
 
 def test_unit_disc_matrix():
-    d = np.array([[0.0, 100.0, 300.0], [100.0, 0.0, 200.0], [300.0, 200.0, 0.0]])
-    snr = snr_matrix_unit_disc(d, BUDGET)
-    assert np.array_equal(snr, snr.T)
-    assert np.all(np.diag(snr) == 0.0)
-    assert abs(snr[0, 1] - deterministic_snr(100.0, BUDGET)) < 1e-12 * snr[0, 1]
+    # pair vector of three vehicles at 0, 100 and 300 m: (0,1), (0,2), (1,2)
+    d = np.array([100.0, 300.0, 200.0])
+    snr = snr_unit_disc(d, BUDGET)
+    assert snr.tolist() == [deterministic_snr(x, BUDGET) for x in d]
+    assert snr[0] > snr[2] > snr[1]
 
 
 def test_rayleigh_matrix_reciprocity_and_seeding():
-    d = np.abs(np.subtract.outer(np.arange(6) * 120.0, np.arange(6) * 120.0))
-    a = snr_matrix_rayleigh(d, BUDGET, np.random.default_rng(3))
-    b = snr_matrix_rayleigh(d, BUDGET, np.random.default_rng(3))
+    # one draw per unordered pair, so each link is reciprocal by construction
+    d = np.arange(1, 16) * 120.0
+    a = snr_rayleigh(d, BUDGET, np.random.default_rng(3))
+    b = snr_rayleigh(d, BUDGET, np.random.default_rng(3))
     assert np.array_equal(a, b)
-    assert np.array_equal(a, a.T)
-    assert np.all(np.diag(a) == 0.0)
-    assert np.all(a[np.triu_indices(6, 1)] > 0.0)
+    assert a.shape == d.shape
+    assert np.all(a > 0.0)
+    # inverse-CDF draws in pair order from a single uniform call
+    u = 1.0 - np.random.default_rng(3).random(d.size)
+    assert np.array_equal(a, -snr_unit_disc(d, BUDGET) * np.log(u))
 
 
 def test_coincident_vehicles_always_link():
-    d = np.array([[0.0, 0.0], [0.0, 0.0]])
-    assert snr_matrix_unit_disc(d, BUDGET)[0, 1] == math.inf
-    assert snr_matrix_rayleigh(d, BUDGET, np.random.default_rng(0))[0, 1] == math.inf
+    d = np.array([0.0])
+    assert snr_unit_disc(d, BUDGET)[0] == math.inf
+    assert snr_rayleigh(d, BUDGET, np.random.default_rng(0))[0] == math.inf
 
 
 def test_db_conversions():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import pytest
@@ -61,6 +62,39 @@ def test_bad_range_spec_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["analytic", "--rho", "0.1:0.2", "--out", str(tmp_path / "x.csv")])
     assert excinfo.value.code != 0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "0"),
+    ("--seed", "-1"),
+    ("--big-m", "0"),
+    ("--workers", "0"),
+    ("--trials", "many"),
+])
+def test_bad_simulate_arguments_are_usage_errors(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--rho", "0.01", "--psi-db", "15", "--trials", "2",
+              flag, value, "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# SHA-256 of the CSV bytes, recorded with the dense-matrix eigensolve pipeline
+# that preceded the edge-list one; the output contract is byte identity.
+GOLDEN_SIMULATE = {
+    "components": "51d98bfb7bf6f72a50e29f933d8e2c1951fbc8b6282e4afafeee72d387f8e386",
+    "eigen": "51d98bfb7bf6f72a50e29f933d8e2c1951fbc8b6282e4afafeee72d387f8e386",
+    "both": "33750f34b5d6af5191f04b4b7f1d90656ddea5b9c9fa3d60f573b6f09fdc7ef8",
+}
+
+
+@pytest.mark.parametrize("decider", sorted(GOLDEN_SIMULATE))
+def test_simulate_matches_golden_digest(tmp_path, decider):
+    code, out = _run(tmp_path, "simulate", "--rho", "0.006,0.019", "--psi-db", "5,15",
+                     "--trials", "20", "--seed", "7", "--big-m", "3", "--decider", decider)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE[decider]
 
 
 def test_simulate_deterministic_output(tmp_path):

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vanetconn.graph import (
-    UnionFind,
-    adjacency_from_snr,
+    EdgeList,
+    SpectralCeilingError,
     algebraic_connectivity,
+    check_spectral_ceiling,
+    count_components,
     count_partitions_eigen,
     count_partitions_unionfind,
-    dump_matrices,
+    edges_from_snr,
     is_connected,
     laplacian_eigenvalues,
     matrices_from_adjacency,
@@ -26,6 +30,15 @@ def _path(n):
     return matrices_from_adjacency(a)
 
 
+def _path_edges(n):
+    return EdgeList(n=n, i=np.arange(n - 1), j=np.arange(1, n))
+
+
+def _edges(g):
+    i, j = np.nonzero(np.triu(g.adjacency, 1))
+    return EdgeList(n=g.n, i=i, j=j)
+
+
 def _random_graph(rng, n=None):
     n = n or int(rng.integers(2, 101))
     p = rng.choice([0.02, 0.08, 0.3, 0.7])
@@ -36,25 +49,30 @@ def _random_graph(rng, n=None):
 
 
 def test_threshold_builds_expected_graphs():
-    snr = np.array([[0.0, 50.0, 1.0], [50.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
-    g = adjacency_from_snr(snr, psi=10.0)
+    # pairs (0,1), (0,2), (1,2) of three vehicles
+    snr = np.array([50.0, 1.0, 2.0])
+    g = edges_from_snr(snr, psi=10.0, n=3)
     assert g.degrees.tolist() == [1, 1, 0]
     assert np.all(g.laplacian.sum(axis=1) == 0)
-    full = adjacency_from_snr(snr, psi=0.5)
+    full = edges_from_snr(snr, psi=0.5, n=3)
     assert full.degrees.tolist() == [2, 2, 2]
-    empty = adjacency_from_snr(snr, psi=100.0)
+    assert list(zip(full.i.tolist(), full.j.tolist())) == [(0, 1), (0, 2), (1, 2)]
+    empty = edges_from_snr(snr, psi=100.0, n=3)
     assert np.all(empty.laplacian == 0)
 
 
 def test_threshold_is_inclusive():
-    snr = np.array([[0.0, 10.0], [10.0, 0.0]])
-    assert adjacency_from_snr(snr, psi=10.0).degrees.tolist() == [1, 1]
+    snr = np.array([10.0])
+    assert edges_from_snr(snr, psi=10.0, n=2).degrees.tolist() == [1, 1]
 
 
-def test_asymmetric_snr_rejected():
-    snr = np.array([[0.0, 5.0], [4.0, 0.0]])
-    with pytest.raises(ValueError):
-        adjacency_from_snr(snr, psi=1.0)
+def test_edge_list_matches_dense_matrices():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        g = _random_graph(rng)
+        e = _edges(g)
+        assert np.array_equal(e.degrees, g.degrees)
+        assert np.array_equal(e.laplacian, g.laplacian)
 
 
 def test_adjacency_validation():
@@ -125,6 +143,50 @@ def test_eigen_matches_unionfind_on_random_graphs():
         assert count_partitions_eigen(g) == count_partitions_unionfind(g)
 
 
+def test_components_and_eigen_agree_including_long_chains():
+    rng = np.random.default_rng(31)
+    cases = [_edges(_random_graph(rng)) for _ in range(200)]
+    for n in (2, 50, 400, 1500):
+        chain = _path_edges(n)
+        cases.append(chain)
+        # cut one link of the chain, then bridge the cut over a skipped vertex
+        k = int(rng.integers(n - 1))
+        keep = np.arange(n - 1) != k
+        cases.append(EdgeList(n=n, i=chain.i[keep], j=chain.j[keep]))
+        if 0 < k < n - 2:
+            cases.append(EdgeList(n=n, i=np.append(chain.i[keep], k),
+                                  j=np.append(chain.j[keep], k + 2)))
+    for e in cases:
+        components = count_components(e)
+        assert count_partitions_eigen(e) == components
+        assert is_connected(e) == (components == 1)
+
+
+def test_spectral_ceiling_is_derived_from_the_mohar_bound():
+    # a path has max degree 2, so the tolerance bound is 4e-8 against 4 / (n (n - 1))
+    check_spectral_ceiling(10_000, 2)
+    with pytest.raises(SpectralCeilingError):
+        check_spectral_ceiling(10_001, 2)
+    check_spectral_ceiling(300, 299)  # complete graph at the largest N the sweeps use
+    with pytest.raises(SpectralCeilingError):
+        check_spectral_ceiling(50, 1, zero_tol=1e-2)
+
+
+def test_spectral_decider_refuses_a_long_path_before_the_eigensolve():
+    chain = _path_edges(20_000)  # a dense Laplacian would take 3.2 GB
+    assert count_components(chain) == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpectralCeilingError):
+            is_connected(chain)
+        with pytest.raises(SpectralCeilingError):
+            count_partitions_eigen(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_laplacian_properties_random():
     rng = np.random.default_rng(99)
     for _ in range(25):
@@ -150,23 +212,3 @@ def test_adding_edges_never_disconnects():
         i, j = zeros[rng.integers(len(zeros))]
         a[i, j] = a[j, i] = 1
         assert is_connected(matrices_from_adjacency(a))
-
-
-def test_dump_matrices(tmp_path):
-    g = _path(4)
-    adjacency_path, laplacian_path = dump_matrices(g, str(tmp_path), stem="case")
-    a = np.loadtxt(adjacency_path, dtype=int)
-    l = np.loadtxt(laplacian_path, dtype=int)
-    assert np.array_equal(a, g.adjacency)
-    assert np.array_equal(l, g.laplacian)
-
-
-def test_union_find_directly():
-    uf = UnionFind(5)
-    assert uf.n_components == 5
-    assert uf.union(0, 1)
-    assert not uf.union(1, 0)
-    uf.union(2, 3)
-    uf.union(3, 4)
-    assert uf.n_components == 2
-    assert uf.find(4) == uf.find(2)

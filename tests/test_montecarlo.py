@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from vanetconn import analytic
+from vanetconn import analytic, channel, montecarlo
+from vanetconn.graph import edges_from_snr
 from vanetconn.montecarlo import (
+    MODELS,
     RAYLEIGH,
     UNIT_DISC,
     estimate_connectivity,
@@ -51,6 +53,26 @@ def test_trial_deterministic_for_fixed_stream(make_params):
     assert a.connected == b.connected
     assert np.array_equal(a.degrees, b.degrees)
     assert np.array_equal(a.linked_pairs_by_gap, b.linked_pairs_by_gap)
+
+
+def test_fading_edges_can_jump_over_an_isolated_vehicle(make_params):
+    # vehicle 3 links to nobody, yet the fading link (0, 5) jumps over it, so
+    # every cut between successive vehicles is crossed by some edge
+    from vanetconn.scenario import placement_from_headways, sample_headways
+
+    params = make_params(rho=0.005, psi_db=5.0)
+    n = params.n_vehicles
+    rng = trial_rng(3, 188)
+    placement = placement_from_headways(sample_headways(params, rng))
+    snr = channel.snr_rayleigh(placement.distances, channel.LinkBudget.from_scenario(params), rng)
+    edges = edges_from_snr(snr, params.psi, n)
+    crossings = np.cumsum(np.bincount(edges.i, minlength=n) - np.bincount(edges.j, minlength=n))
+    assert np.all(crossings[:-1] > 0)
+
+    outcome = run_trial(params, RAYLEIGH, trial_rng(3, 188), decider="both")
+    assert outcome.degrees[3] == 0
+    assert not outcome.connected
+    assert outcome.decider_mismatch is False
 
 
 def test_trial_validates_inputs(make_params):
@@ -177,10 +199,36 @@ def test_parallel_run_is_bit_identical(make_params):
 
 def test_decider_paths_agree(make_params):
     params = make_params(rho=0.012)
-    both = run_ensemble(params, RAYLEIGH, trials=80, master_seed=31, decider="both")
-    assert both.decider_mismatches() == 0
-    components = run_ensemble(params, RAYLEIGH, trials=80, master_seed=31, decider="components")
-    assert components.network_connectivity() == both.network_connectivity()
+    for model in MODELS:
+        both = run_ensemble(params, model, trials=80, master_seed=31, decider="both")
+        assert both.decider_mismatches() == 0
+        default = run_ensemble(params, model, trials=80, master_seed=31)
+        eigen = run_ensemble(params, model, trials=80, master_seed=31, decider="eigen")
+        assert default.decider == "components"
+        assert default.network_connectivity() == both.network_connectivity()
+        assert eigen.network_connectivity() == both.network_connectivity()
+
+
+def test_sweep_opens_one_pool_and_matches_serial(monkeypatch):
+    opened = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    grid = [(0.008, 10**1.5), (0.012, 10**0.5)]
+    serial = sweep(grid, MODELS, trials=12, master_seed=9, big_m=3, **SWEEP_KW)
+    assert opened == []
+    parallel = sweep(grid, MODELS, trials=12, master_seed=9, big_m=3, workers=2, **SWEEP_KW)
+    assert opened == [2]
+    for a, b in zip(serial, parallel, strict=True):
+        assert (a.model, a.rho, a.psi) == (b.model, b.rho, b.psi)
+        for x, y in zip(a.result.stats, b.result.stats, strict=True):
+            assert x.connected == y.connected
+            assert np.array_equal(x.linked_by_gap, y.linked_by_gap)
+            assert x.degree_mean_all == y.degree_mean_all
 
 
 def test_sweep_rows(make_params):
@@ -199,6 +247,11 @@ def test_sweep_records_failures_and_continues():
     assert rows[0].error is not None and "rho" in rows[0].error
     assert rows[0].result is None
     assert rows[1].error is None and rows[1].result is not None
+
+
+def test_sweep_does_not_record_programming_errors():
+    with pytest.raises(TypeError):
+        sweep([("0.02", 31.6)], (UNIT_DISC,), trials=5, master_seed=1, **SWEEP_KW)
 
 
 def test_sweep_requires_points():

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from vanetconn.scenario import (
     erlang_cdf,
     erlang_pdf,
+    pair_endpoints,
     placement_from_headways,
     sample_headways,
 )
@@ -62,8 +63,8 @@ def test_headways_deterministic_for_fixed_seed(make_params):
 def test_placement_prefix_sums():
     p = placement_from_headways([10.0, 20.0])
     assert np.array_equal(p.positions, [0.0, 10.0, 30.0])
-    assert p.distances[0, 2] == 30.0
-    assert p.distances[2, 0] == 30.0
+    # pairs (0, 1), (0, 2), (1, 2)
+    assert p.distances.tolist() == [10.0, 30.0, 20.0]
 
 
 def test_placement_rejects_bad_input():
@@ -75,21 +76,34 @@ def test_placement_rejects_bad_input():
 
 def test_placement_symmetry_and_invariants():
     p = placement_from_headways([5.0, 5.0, 5.0])
-    assert p.distances[0, 3] == 15.0 == p.distances[3, 0]
-    assert np.array_equal(np.diag(p.distances), np.zeros(4))
+    assert p.distances.tolist() == [5.0, 10.0, 15.0, 5.0, 10.0, 5.0]
     assert np.array_equal(np.diff(p.positions), p.headways)
-    # distance grows with neighbour order on a line
+    # the pair vector is the upper triangle of the symmetric distance matrix
     rng = np.random.default_rng(7)
     q = placement_from_headways(rng.exponential(50.0, size=30))
+    dense = np.abs(q.positions[:, None] - q.positions[None, :])
+    assert np.array_equal(q.distances, dense[np.triu_indices(q.n_vehicles, 1)])
+    # distance grows with neighbour order on a line
     for i in range(q.n_vehicles - 2):
-        row = q.distances[i, i + 1 :]
+        row = dense[i, i + 1 :]
         assert np.all(np.diff(row) > 0)
+
+
+def test_pair_endpoints_invert_the_pair_layout():
+    for n in (2, 3, 7, 40):
+        i, j = pair_endpoints(np.arange(n * (n - 1) // 2), n)
+        rows, cols = np.triu_indices(n, 1)
+        assert np.array_equal(i, rows) and np.array_equal(j, cols)
+    i, j = pair_endpoints(np.array([], dtype=np.int64), 5)
+    assert i.size == 0 and j.size == 0
 
 
 def test_placement_arrays_are_locked():
     p = placement_from_headways([1.0, 2.0])
     with pytest.raises(ValueError):
-        p.distances[0, 1] = 99.0
+        p.distances[0] = 99.0
+    with pytest.raises(ValueError):
+        p.positions[0] = 99.0
 
 
 def test_erlang_pdf_first_neighbour_is_exponential():
