@@ -2,7 +2,6 @@
 Rayleigh-fading channels: closed forms, graph-ensemble simulation, CLI."""
 
 from .analytic import (
-    ClosedFormOverflowError,
     DivergentMeanError,
     avg_node_degree,
     avg_snr_rayleigh,
@@ -45,10 +44,6 @@ from .montecarlo import (
     EnsembleEstimate,
     MeanEstimate,
     TrialOutcome,
-    estimate_connectivity,
-    estimate_node_degree,
-    estimate_single_link,
-    estimate_vehicle_connectivity,
     run_ensemble,
     run_trial,
     sweep,

@@ -13,12 +13,11 @@ import math
 import mpmath
 
 from . import channel, scenario
-from .numerics import QuadratureSpec, integrate_semi_infinite, log_factorial, upper_incomplete_gamma
+from .numerics import integrate_semi_infinite, log_factorial, upper_incomplete_gamma
 from .scenario import ScenarioParams
 
 __all__ = [
     "DivergentMeanError",
-    "ClosedFormOverflowError",
     "p_sl_ud_first",
     "p_network_ud",
     "p_sl_ud_mth",
@@ -32,7 +31,8 @@ __all__ = [
     "p_vehicle_ud",
 ]
 
-# e^(rho^2 lam^2 / 4) must stay representable in double precision
+# beyond z = rho^2 lam^2 / 4 = 700 the incomplete gammas, of order e^-z, near
+# the subnormal doubles (from z = 708) and underflow to zero at z = 745
 _EXP_GUARD = 700.0
 # beyond this measured cancellation a compensated double-precision sum cannot
 # certify ~1e-9 relative accuracy, so the sum is redone in higher precision
@@ -43,18 +43,10 @@ class DivergentMeanError(ValueError):
     """The requested average SNR is infinite for this neighbour index."""
 
 
-class ClosedFormOverflowError(OverflowError):
-    """Closed form would overflow; evaluate the quadrature path instead."""
-
-
 def _require_neighbor_index(m) -> int:
     if m != int(m) or m < 1:
         raise ValueError(f"neighbour index must be a positive integer, got {m!r}")
     return int(m)
-
-
-def _budget(params: ScenarioParams) -> channel.LinkBudget:
-    return channel.LinkBudget.from_scenario(params)
 
 
 def _snr_decay_coefficient(params: ScenarioParams) -> float:
@@ -64,7 +56,7 @@ def _snr_decay_coefficient(params: ScenarioParams) -> float:
 
 def communication_range(params: ScenarioParams) -> float:
     """Unit-disc radius; numerically also the length scale of the fading model."""
-    return channel.unit_disc_range(_budget(params), params.psi)
+    return channel.unit_disc_range(params.budget, params.psi)
 
 
 def p_sl_ud_first(params: ScenarioParams) -> float:
@@ -84,9 +76,7 @@ def p_sl_ud_mth(params: ScenarioParams, m: int = 1) -> float:
     return scenario.erlang_cdf(communication_range(params), m, params.rho)
 
 
-def p_sl_rayleigh(
-    params: ScenarioParams, m: int = 1, spec: QuadratureSpec | None = None
-) -> float:
+def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
     """Fading link probability to the m-th neighbour.
 
     Averages the exceedance probability e^(-c x^alpha) over the Erlang gap
@@ -110,7 +100,7 @@ def p_sl_rayleigh(
         return math.exp(log_norm + (m - 1) * math.log(x) - rho * x - c * x**alpha)
 
     upper = min((50.0 + 2.0 * m) / rho, lam * (50.0 + 2.0 * m) ** (1.0 / alpha))
-    value, _ = integrate_semi_infinite(integrand, spec, upper=upper)
+    value, _ = integrate_semi_infinite(integrand, upper)
     return min(1.0, max(0.0, value))
 
 
@@ -163,8 +153,9 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
 
     For m = 1 this is (a sqrt(pi) / 2) e^(a^2/4) erfc(a/2).  The sum is
     compensated; when the measured cancellation is too deep for double
-    precision the sum is re-evaluated in arbitrary precision, because the
-    leading asymptotic orders of its terms cancel exactly.
+    precision, or a^2/4 is too large for its terms to be represented, the
+    sum is evaluated in arbitrary precision instead, because the leading
+    asymptotic orders of its terms cancel exactly.
     """
     m = _require_neighbor_index(m)
     if params.ple != 2:
@@ -173,9 +164,7 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
     a = params.rho * lam
     z = 0.25 * a * a
     if z >= _EXP_GUARD:
-        raise ClosedFormOverflowError(
-            f"exp({z:.4g}) is not representable; use p_sl_rayleigh instead"
-        )
+        return min(1.0, _closed_form_mp(m, a, z))
     half_a = 0.5 * a
     terms = [
         math.comb(m - 1, k) * (-half_a) ** k * upper_incomplete_gamma(0.5 * (m - k), z)
@@ -201,7 +190,7 @@ def avg_snr_rayleigh(params: ScenarioParams, m: int) -> float:
         raise DivergentMeanError(
             f"average SNR is infinite for m <= {alpha} (got m={m})"
         )
-    value = _budget(params).snr_scale * params.rho**alpha
+    value = params.budget.snr_scale * params.rho**alpha
     for j in range(1, alpha + 1):
         value /= m - j
     return value
@@ -222,10 +211,10 @@ def avg_snr_ud(params: ScenarioParams, m: int) -> float:
             f"average SNR is infinite for m <= {alpha} (got m={m})"
         )
     log_moment = alpha * math.log(params.rho) + math.lgamma(m - alpha) - math.lgamma(m)
-    return _budget(params).snr_scale * math.exp(log_moment)
+    return params.budget.snr_scale * math.exp(log_moment)
 
 
-def avg_node_degree(params: ScenarioParams, spec: QuadratureSpec | None = None) -> float:
+def avg_node_degree(params: ScenarioParams) -> float:
     """Expected number of fading-linked neighbours of an interior vehicle.
 
     2 * rho * integral of e^(-c x^alpha) over [0, inf); equals
@@ -235,7 +224,7 @@ def avg_node_degree(params: ScenarioParams, spec: QuadratureSpec | None = None) 
     alpha = params.ple
     lam = communication_range(params)
     value, _ = integrate_semi_infinite(
-        lambda x: math.exp(-c * x**alpha), spec, upper=lam * 60.0 ** (1.0 / alpha)
+        lambda x: math.exp(-c * x**alpha), lam * 60.0 ** (1.0 / alpha)
     )
     return 2.0 * params.rho * value
 

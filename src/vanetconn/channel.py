@@ -43,15 +43,6 @@ class LinkBudget:
             raise ValueError(f"ple must be a positive integer, got {self.ple!r}")
         object.__setattr__(self, "ple", int(self.ple))
 
-    @classmethod
-    def from_scenario(cls, params) -> "LinkBudget":
-        return cls(
-            tx_power=params.tx_power,
-            noise_power=params.noise_power,
-            beta=params.beta,
-            ple=params.ple,
-        )
-
     @property
     def snr_scale(self) -> float:
         """Received SNR at 1 m: beta * tx_power / noise_power."""

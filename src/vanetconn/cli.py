@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from . import analytic, channel, montecarlo
-from .analytic import ClosedFormOverflowError, DivergentMeanError
+from .analytic import DivergentMeanError
 from .scenario import ScenarioParams
 
 ANALYTIC_HEADER = ["model", "rho", "psi_db", "m_or_M", "metric", "value"]
@@ -35,6 +36,16 @@ SIMULATE_HEADER = [
 _DENSITY_SWEEP_RHO = "0.002:0.03:0.004"
 _DENSITY_SWEEP_PSI = "5,15"
 _Z95 = montecarlo._Z95
+# ScenarioParams names the field it rejects; report the flag that set it
+_FLAG_OF_FIELD = {
+    "rho": "--rho",
+    "psi": "--psi-db",
+    "road_length": "--length-m",
+    "tx_power": "--tx-dbm",
+    "noise_power": "--noise-mw",
+    "beta": "--beta",
+    "ple": "--alpha",
+}
 
 
 def _parse_value_spec(text: str, flag: str) -> list[float]:
@@ -52,15 +63,8 @@ def _parse_value_spec(text: str, flag: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"{flag}: {exc}") from None
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"{flag}: need step > 0 and stop >= start")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 0.5 * step:
-                break
-            values.append(min(v, stop))
-            k += 1
-        return values
+        count = math.floor((stop - start) / step + 0.5) + 1
+        return [min(start + k * step, stop) for k in range(count)]
     try:
         return [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
@@ -154,10 +158,9 @@ def _make_params(args, rho: float, psi_db: float) -> ScenarioParams:
     )
 
 
-def _analytic_rows(args):
+def _analytic_rows(args, points):
     big_m = args.big_m
-    for rho, psi_db in _grid(args):
-        params = _make_params(args, rho, psi_db)
+    for rho, psi_db, params in points:
         r = analytic.communication_range(params)
         point = {"rho": _fmt(rho), "psi_db": _fmt(psi_db)}
         if "unit_disc" in _models(args):
@@ -181,12 +184,9 @@ def _analytic_rows(args):
                        "metric": "p_single_link", "value": _fmt(analytic.p_sl_rayleigh(params, m))}
             if params.ple == 2:
                 for m in range(1, big_m + 1):
-                    try:
-                        value = _fmt(analytic.p_sl_rayleigh_closed_alpha2(params, m))
-                    except ClosedFormOverflowError:
-                        value = "overflow_guard"
                     yield {**point, "model": "rayleigh", "m_or_M": str(m),
-                           "metric": "p_single_link_closed", "value": value}
+                           "metric": "p_single_link_closed",
+                           "value": _fmt(analytic.p_sl_rayleigh_closed_alpha2(params, m))}
             for m in range(1, big_m + 1):
                 yield {**point, "model": "rayleigh", "m_or_M": str(m),
                        "metric": "avg_snr", "value": _snr_value(analytic.avg_snr_rayleigh, params, m)}
@@ -283,9 +283,15 @@ def main(argv=None) -> int:
         args.rho = _parse_value_spec(_DENSITY_SWEEP_RHO, "--rho")
         args.psi_db = _parse_value_spec(_DENSITY_SWEEP_PSI, "--psi-db")
         args.model = "both"
+    # every grid point is validated before any output is written
+    try:
+        points = [(rho, psi_db, _make_params(args, rho, psi_db)) for rho, psi_db in _grid(args)]
+    except (ValueError, ArithmeticError) as exc:
+        flag = _FLAG_OF_FIELD.get(str(exc).split(" ", 1)[0])
+        parser.error(f"argument {flag}: {exc}" if flag else f"invalid scenario: {exc}")
     try:
         if args.command == "analytic":
-            _write_csv(args.out, ANALYTIC_HEADER, _analytic_rows(args))
+            _write_csv(args.out, ANALYTIC_HEADER, _analytic_rows(args, points))
         else:
             _write_csv(args.out, SIMULATE_HEADER, _simulate_rows(args))
     except (ValueError, ArithmeticError, RuntimeError) as exc:

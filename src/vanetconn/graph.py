@@ -137,43 +137,40 @@ def algebraic_connectivity(g: EdgeList | GraphMatrices) -> float:
     return float(laplacian_eigenvalues(g)[1])
 
 
-def check_spectral_ceiling(n: int, max_degree: int, zero_tol: float | None = None) -> None:
+def check_spectral_ceiling(n: int, max_degree: int) -> None:
     """Raise SpectralCeilingError where the zero test could misread a connected graph.
 
     A connected graph on n vertices has algebraic connectivity at least
     4 / (n * diameter) >= 4 / (n (n - 1)) (Mohar 1991), and each component
     of a disconnected one obeys the same bound on its own vertex count.  The
-    default tolerance is 1e-8 * max(1, lambda_max), and lambda_max is at most
+    zero tolerance is 1e-8 * max(1, lambda_max), and lambda_max is at most
     min(n, 2 * max_degree).  While that tolerance bound stays below 4 / (n (n - 1)),
     no nonzero eigenvalue can be read as zero.  A path graph passes up to
     n = 10^4.
     """
-    if zero_tol is None:
-        zero_tol = _RELATIVE_ZERO_TOL * max(1.0, float(min(n, 2 * max_degree)))
+    tol = _RELATIVE_ZERO_TOL * max(1.0, float(min(n, 2 * max_degree)))
     floor = 4.0 / (n * (n - 1))
-    if zero_tol >= floor:
+    if tol >= floor:
         raise SpectralCeilingError(
-            f"spectral zero tolerance {zero_tol:.3g} reaches the algebraic-connectivity "
+            f"spectral zero tolerance {tol:.3g} reaches the algebraic-connectivity "
             f"floor {floor:.3g} of a {n}-vertex graph; use the components decider"
         )
 
 
-def _spectrum(g: EdgeList | GraphMatrices, zero_tol: float | None) -> tuple[np.ndarray, float]:
+def _spectrum(g: EdgeList | GraphMatrices) -> tuple[np.ndarray, float]:
     """Eigenvalues and the zero tolerance, after the ceiling check."""
-    check_spectral_ceiling(g.n, int(g.degrees.max()), zero_tol)
+    check_spectral_ceiling(g.n, int(g.degrees.max()))
     eigenvalues = laplacian_eigenvalues(g)
-    if zero_tol is None:
-        zero_tol = _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
-    return eigenvalues, zero_tol
+    return eigenvalues, _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
 
 
-def count_partitions_eigen(g: EdgeList | GraphMatrices, zero_tol: float | None = None) -> int:
+def count_partitions_eigen(g: EdgeList | GraphMatrices) -> int:
     """Number of connected components as the count of (near-)zero eigenvalues."""
-    eigenvalues, tol = _spectrum(g, zero_tol)
+    eigenvalues, tol = _spectrum(g)
     return int(np.count_nonzero(np.abs(eigenvalues) < tol))
 
 
-def is_connected(g: EdgeList | GraphMatrices, zero_tol: float | None = None) -> bool:
+def is_connected(g: EdgeList | GraphMatrices) -> bool:
     """Spectral connectivity decision: algebraic connectivity above the zero tolerance."""
-    eigenvalues, tol = _spectrum(g, zero_tol)
+    eigenvalues, tol = _spectrum(g)
     return float(eigenvalues[1]) > tol

@@ -18,7 +18,6 @@ from functools import partial
 import numpy as np
 
 from . import channel, graph, scenario
-from .numerics import QuadratureError
 from .scenario import ScenarioParams
 
 __all__ = [
@@ -34,10 +33,6 @@ __all__ = [
     "wilson_interval",
     "run_trial",
     "run_ensemble",
-    "estimate_connectivity",
-    "estimate_single_link",
-    "estimate_node_degree",
-    "estimate_vehicle_connectivity",
     "sweep",
 ]
 
@@ -165,11 +160,10 @@ def run_trial(
 
     headways = scenario.sample_headways(params, rng)
     placement = scenario.placement_from_headways(headways)
-    budget = channel.LinkBudget.from_scenario(params)
     if model == UNIT_DISC:
-        snr = channel.snr_unit_disc(placement.distances, budget)
+        snr = channel.snr_unit_disc(placement.distances, params.budget)
     else:
-        snr = channel.snr_rayleigh(placement.distances, budget, rng)
+        snr = channel.snr_rayleigh(placement.distances, params.budget, rng)
     n = placement.n_vehicles
     edges = graph.edges_from_snr(snr, params.psi, n)
 
@@ -210,9 +204,7 @@ def default_interior_margin(params: ScenarioParams) -> int:
     value; the link probability is negligible beyond a few multiples of
     rho * lam neighbours.  Clamped so at least ten vehicles remain.
     """
-    reach = params.rho * channel.unit_disc_range(
-        channel.LinkBudget.from_scenario(params), params.psi
-    )
+    reach = params.rho * channel.unit_disc_range(params.budget, params.psi)
     margin = math.ceil(8.0 * reach) + 12
     return max(0, min(margin, (params.n_vehicles - 10) // 2))
 
@@ -256,7 +248,6 @@ class EnsembleResult:
     master_seed: int
     big_m: int
     decider: str
-    interior_margin: int
     stats: tuple[_TrialStats, ...]
 
     def network_connectivity(self) -> EnsembleEstimate:
@@ -289,6 +280,12 @@ class EnsembleResult:
         )
 
     def node_degree(self, interior: bool = True) -> MeanEstimate:
+        """Mean degree, by default over the vehicles inside ``default_interior_margin``.
+
+        Vehicles near the segment ends miss neighbours on one side, which
+        biases the plain average low against the infinite-road expectation;
+        ``interior=False`` gives that plain average over all vehicles.
+        """
         means = np.array(
             [s.degree_mean_interior if interior else s.degree_mean_all for s in self.stats]
         )
@@ -339,7 +336,6 @@ def run_ensemble(
     big_m: int = 10,
     decider: str = "components",
     workers: int = 1,
-    interior_margin: int | None = None,
     executor: Executor | None = None,
 ) -> EnsembleResult:
     """Run the full trial ensemble; deterministic in master_seed alone.
@@ -353,9 +349,6 @@ def run_ensemble(
         raise ValueError("trials must be >= 1")
     if master_seed < 0:
         raise ValueError("master_seed must be a nonnegative integer")
-    margin = default_interior_margin(params) if interior_margin is None else interior_margin
-    if margin < 0 or 2 * margin >= params.n_vehicles:
-        raise ValueError(f"interior margin {margin} leaves no vehicles")
     worker = partial(
         _trial_stats,
         params=params,
@@ -363,7 +356,7 @@ def run_ensemble(
         master_seed=master_seed,
         big_m=big_m,
         decider=decider,
-        margin=margin,
+        margin=default_interior_margin(params),
     )
     if workers > 1:
         chunk = max(1, trials // (workers * 8))
@@ -381,75 +374,8 @@ def run_ensemble(
         master_seed=master_seed,
         big_m=big_m,
         decider=decider,
-        interior_margin=margin,
         stats=stats,
     )
-
-
-def estimate_connectivity(
-    params: ScenarioParams,
-    model: str,
-    trials: int,
-    master_seed: int,
-    decider: str = "components",
-    workers: int = 1,
-) -> EnsembleEstimate:
-    """Fraction of trials whose snapshot graph is fully connected."""
-    result = run_ensemble(
-        params, model, trials, master_seed, big_m=1, decider=decider, workers=workers
-    )
-    return result.network_connectivity()
-
-
-def estimate_single_link(
-    params: ScenarioParams,
-    model: str,
-    m: int,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
-) -> EnsembleEstimate:
-    """Fraction of (i, i+m) pairs with a direct link, pooled over trials."""
-    if not 1 <= m <= params.n_vehicles - 1:
-        raise ValueError(f"gap m must lie in [1, {params.n_vehicles - 1}], got {m}")
-    result = run_ensemble(params, model, trials, master_seed, big_m=m, workers=workers)
-    return result.single_link(m)
-
-
-def estimate_node_degree(
-    params: ScenarioParams,
-    model: str,
-    trials: int,
-    master_seed: int,
-    interior_margin: int | None = None,
-    workers: int = 1,
-) -> MeanEstimate:
-    """Ensemble-and-node average degree, by default over interior vehicles only.
-
-    Vehicles near the ends of the segment are missing neighbours on one side,
-    which biases the plain average low against the infinite-road expectation;
-    the default margin removes that bias.  Pass interior_margin=0 for the raw
-    average over all vehicles.
-    """
-    result = run_ensemble(
-        params, model, trials, master_seed, big_m=1, workers=workers,
-        interior_margin=interior_margin,
-    )
-    return result.node_degree(interior=True)
-
-
-def estimate_vehicle_connectivity(
-    params: ScenarioParams,
-    model: str,
-    side: str,
-    trials: int,
-    master_seed: int,
-    direction: str = "forward",
-    workers: int = 1,
-) -> EnsembleEstimate:
-    """Fraction of non-isolated vehicles under the one- or two-side definition."""
-    result = run_ensemble(params, model, trials, master_seed, big_m=1, workers=workers)
-    return result.vehicle_connectivity(side=side, direction=direction)
 
 
 @dataclass(frozen=True)
@@ -478,7 +404,6 @@ def sweep(
     big_m: int = 10,
     decider: str = "components",
     workers: int = 1,
-    interior_margin: int | None = None,
 ) -> list[SweepRow]:
     """Run the ensemble at every (rho, psi) point for every model.
 
@@ -518,10 +443,9 @@ def sweep(
                         big_m=big_m,
                         decider=decider,
                         workers=workers,
-                        interior_margin=interior_margin,
                         executor=pool,
                     )
-                except (ValueError, ArithmeticError, QuadratureError) as exc:
+                except (ValueError, ArithmeticError) as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     rows.append(SweepRow(model, rho, psi, None, None, error))
                 else:

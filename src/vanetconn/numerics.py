@@ -8,7 +8,6 @@ from typing import Callable
 
 from scipy.integrate import quad
 
-_MAX_CUTOFF_DOUBLINGS = 64
 _MAX_SERIES_ITER = 500
 _MAX_CF_ITER = 500
 _EPS = 1e-15
@@ -39,25 +38,20 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
+    upper: float,
     spec: QuadratureSpec | None = None,
-    upper: float | None = None,
 ) -> tuple[float, float]:
     """Integrate a decaying integrand over [0, inf).
 
-    The infinite tail is cut at ``upper``, which the caller should pick so the
+    The infinite tail is cut at ``upper``, which the caller picks so the
     neglected mass sits below ``spec.abs_tol`` (an exp(-rho*x) envelope makes
-    upper = 50/rho enough, with the tail under e^-50).  When ``upper`` is None
-    the cutoff is found by doubling until the integrand itself has decayed
-    below the absolute tolerance; that only works for monotonically decaying
-    tails, which is all this function is meant for.
+    upper = 50/rho enough, with the tail under e^-50).
 
     Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError` when
     the adaptive rule cannot certify the requested tolerance; it never returns
     a silently truncated result.
     """
     spec = spec or DEFAULT_QUADRATURE
-    if upper is None:
-        upper = _decay_cutoff(f, spec)
     result = quad(
         f,
         0.0,
@@ -76,16 +70,6 @@ def integrate_semi_infinite(
             f"error estimate {abserr:.3e} exceeds requested tolerance {allowed:.3e}"
         )
     return value, abserr
-
-
-def _decay_cutoff(f: Callable[[float], float], spec: QuadratureSpec) -> float:
-    upper = 1.0
-    for _ in range(_MAX_CUTOFF_DOUBLINGS):
-        # scale-aware: a tail of length ~upper at height f(upper) must be negligible
-        if abs(f(upper)) * upper < spec.abs_tol:
-            return upper
-        upper *= 2.0
-    raise QuadratureError("integrand shows no usable decay; pass an explicit cutoff")
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import LinkBudget
 from .numerics import log_factorial
 
 __all__ = [
@@ -40,7 +41,8 @@ class ScenarioParams:
     psi          SNR threshold, linear
 
     The vehicle count is derived as max(2, round(rho * road_length)); the
-    placement itself is never truncated to the segment.
+    placement itself is never truncated to the segment.  ``budget`` is the
+    radio part (tx_power, noise_power, beta, ple), built and validated once.
     """
 
     rho: float
@@ -51,15 +53,16 @@ class ScenarioParams:
     ple: int
     psi: float
     n_vehicles: int = field(init=False)
+    budget: LinkBudget = field(init=False)
 
     def __post_init__(self):
-        for name in ("rho", "road_length", "tx_power", "noise_power", "beta", "psi"):
+        for name in ("rho", "road_length", "psi"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.ple != int(self.ple) or self.ple < 1:
-            raise ValueError(f"ple must be a positive integer, got {self.ple!r}")
-        object.__setattr__(self, "ple", int(self.ple))
+        budget = LinkBudget(self.tx_power, self.noise_power, self.beta, self.ple)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "ple", budget.ple)
         object.__setattr__(self, "n_vehicles", max(2, round(self.rho * self.road_length)))
 
 

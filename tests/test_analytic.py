@@ -4,7 +4,6 @@ import pytest
 from scipy.integrate import quad
 
 from vanetconn.analytic import (
-    ClosedFormOverflowError,
     DivergentMeanError,
     avg_node_degree,
     avg_snr_rayleigh,
@@ -113,9 +112,13 @@ def test_closed_form_matches_quadrature_grid(make_params, rho, psi_db):
 def test_closed_form_requirements(make_params):
     with pytest.raises(ValueError):
         p_sl_rayleigh_closed_alpha2(make_params(ple=3), 1)
-    # rho lam large enough that e^(rho^2 lam^2/4) cannot be represented
-    with pytest.raises(ClosedFormOverflowError):
-        p_sl_rayleigh_closed_alpha2(make_params(rho=0.24, psi_db=5.0), 1)
+    # rho^2 lam^2 / 4 past the double-precision guard (about 1250 and 9090):
+    # the closed form is summed in arbitrary precision
+    for params in (make_params(rho=0.05, psi_db=0.0), make_params(rho=0.24, psi_db=5.0)):
+        for m in range(1, 11):
+            q = p_sl_rayleigh(params, m)
+            c = p_sl_rayleigh_closed_alpha2(params, m)
+            assert abs(c - q) <= 1e-8 * q, f"m={m}: closed={c!r} quad={q!r}"
     assert p_sl_rayleigh_closed_alpha2(make_params(rho=1e-9), 3) < 1e-6
 
 

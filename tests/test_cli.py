@@ -3,8 +3,10 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vanetconn.cli import main
+from vanetconn.cli import _parse_value_spec, main
 
 
 def _read(path):
@@ -64,20 +66,57 @@ def test_bad_range_spec_is_a_usage_error(tmp_path):
     assert excinfo.value.code != 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(start=st.floats(-1e3, 1e3), step=st.floats(1e-3, 1e3), span=st.floats(0.0, 200.0))
+def test_range_spec_properties(start, step, span):
+    stop = start + span * step
+    values = _parse_value_spec(f"{start!r}:{stop!r}:{step!r}", "--rho")
+    assert values[0] == start
+    assert max(values) <= stop
+    assert len(values) == math.floor((stop - start) / step + 0.5) + 1
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--trials", "0"),
     ("--seed", "-1"),
     ("--big-m", "0"),
     ("--workers", "0"),
     ("--trials", "many"),
+    ("--rho", "0"),
+    ("--rho", "-0.01"),
+    ("--rho", "0.01,0"),
+    ("--length-m", "-5"),
+    ("--noise-mw", "0"),
+    ("--beta", "-1"),
+    ("--alpha", "0"),
+    ("--tx-dbm", "nan"),
 ])
 def test_bad_simulate_arguments_are_usage_errors(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--rho", "0.01", "--psi-db", "15", "--trials", "2",
               flag, value, "--out", str(tmp_path / "x.csv")])
     assert excinfo.value.code == 2
-    assert flag in capsys.readouterr().err
+    # the error line, not only the usage line, names the flag
+    assert flag in capsys.readouterr().err.splitlines()[-1]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--rho", "0.01,0"), ("--tx-dbm", "1e5")])
+def test_bad_analytic_grid_writes_nothing(tmp_path, flag, value):
+    # a bad later grid point must not leave the earlier points' rows behind
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analytic", "--psi-db", "15", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_analytic_closed_form_past_the_double_precision_guard(tmp_path):
+    # rho^2 lam^2 / 4 is about 1250 here
+    code, out = _run(tmp_path, "analytic", "--rho", "0.05", "--psi-db", "0")
+    assert code == 0
+    closed = [r["value"] for r in _read(out) if r["metric"] == "p_single_link_closed"]
+    assert len(closed) == 10
+    assert all(0.0 < float(v) <= 1.0 for v in closed)
 
 
 # SHA-256 of the CSV bytes, recorded with the dense-matrix eigensolve pipeline

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetconn import analytic, channel, montecarlo
 from vanetconn.graph import edges_from_snr
@@ -7,10 +9,6 @@ from vanetconn.montecarlo import (
     MODELS,
     RAYLEIGH,
     UNIT_DISC,
-    estimate_connectivity,
-    estimate_node_degree,
-    estimate_single_link,
-    estimate_vehicle_connectivity,
     run_ensemble,
     run_trial,
     sweep,
@@ -64,7 +62,7 @@ def test_fading_edges_can_jump_over_an_isolated_vehicle(make_params):
     n = params.n_vehicles
     rng = trial_rng(3, 188)
     placement = placement_from_headways(sample_headways(params, rng))
-    snr = channel.snr_rayleigh(placement.distances, channel.LinkBudget.from_scenario(params), rng)
+    snr = channel.snr_rayleigh(placement.distances, params.budget, rng)
     edges = edges_from_snr(snr, params.psi, n)
     crossings = np.cumsum(np.bincount(edges.i, minlength=n) - np.bincount(edges.j, minlength=n))
     assert np.all(crossings[:-1] > 0)
@@ -118,9 +116,17 @@ def test_wilson_interval_basics():
         wilson_interval(5, 4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**6).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t))))
+def test_wilson_interval_brackets_the_proportion(successes_trials):
+    successes, trials = successes_trials
+    lo, hi = wilson_interval(successes, trials)
+    assert 0.0 <= lo <= successes / trials <= hi <= 1.0
+
+
 def test_connectivity_estimate_matches_closed_form(make_params):
     params = make_params(rho=0.019)
-    est = estimate_connectivity(params, UNIT_DISC, trials=400, master_seed=5)
+    est = run_ensemble(params, UNIT_DISC, trials=400, master_seed=5).network_connectivity()
     assert est.covers(analytic.p_network_ud(params)), (
         f"[{est.ci_lo:.3f}, {est.ci_hi:.3f}] misses {analytic.p_network_ud(params):.3f}"
     )
@@ -128,33 +134,34 @@ def test_connectivity_estimate_matches_closed_form(make_params):
 
 def test_degenerate_single_trial(make_params):
     params = make_params(rho=0.004, psi_db=-250.0)
-    est = estimate_connectivity(params, UNIT_DISC, trials=1, master_seed=0)
+    est = run_ensemble(params, UNIT_DISC, trials=1, master_seed=0).network_connectivity()
     assert est.estimate == 1.0
     assert est.ci_lo <= 1.0 <= est.ci_hi
 
 
 def test_single_link_estimates(make_params):
     params = make_params()
-    est = estimate_single_link(params, UNIT_DISC, m=1, trials=250, master_seed=10)
+    est = run_ensemble(params, UNIT_DISC, trials=250, master_seed=10, big_m=1).single_link(1)
     assert est.covers(analytic.p_sl_ud_first(params))
-    ray = estimate_single_link(params, RAYLEIGH, m=1, trials=250, master_seed=10)
+    ray = run_ensemble(params, RAYLEIGH, trials=250, master_seed=10, big_m=1).single_link(1)
     assert ray.covers(analytic.p_sl_rayleigh(params, 1))
+    n = params.n_vehicles
     with pytest.raises(ValueError):
-        estimate_single_link(params, UNIT_DISC, m=params.n_vehicles, trials=5, master_seed=0)
+        run_ensemble(params, UNIT_DISC, trials=5, master_seed=0, big_m=n).single_link(n)
     # far gap on a nearly empty road never links
     sparse = make_params(rho=0.0004)
-    far = estimate_single_link(sparse, UNIT_DISC, m=sparse.n_vehicles - 1,
-                               trials=100, master_seed=2)
+    m = sparse.n_vehicles - 1
+    far = run_ensemble(sparse, UNIT_DISC, trials=100, master_seed=2, big_m=m).single_link(m)
     assert far.estimate == 0.0
 
 
 def test_node_degree_estimates(make_params):
     params = make_params(rho=0.019)
-    est = estimate_node_degree(params, RAYLEIGH, trials=300, master_seed=3)
+    est = run_ensemble(params, RAYLEIGH, trials=300, master_seed=3, big_m=1).node_degree()
     target = analytic.avg_node_degree(params)
     assert abs(est.mean - target) < 3 * est.std_error + 0.05 * target
     everyone = make_params(rho=0.004, psi_db=-250.0)
-    full = estimate_node_degree(everyone, UNIT_DISC, trials=3, master_seed=1)
+    full = run_ensemble(everyone, UNIT_DISC, trials=3, master_seed=1, big_m=1).node_degree()
     assert full.mean == everyone.n_vehicles - 1
     assert full.std_error == 0.0
 
@@ -162,26 +169,26 @@ def test_node_degree_estimates(make_params):
 def test_unit_disc_degree_scales_with_density(make_params):
     base = make_params(rho=0.01)
     double = make_params(rho=0.02)
-    d1 = estimate_node_degree(base, UNIT_DISC, trials=300, master_seed=8)
-    d2 = estimate_node_degree(double, UNIT_DISC, trials=300, master_seed=8)
+    d1 = run_ensemble(base, UNIT_DISC, trials=300, master_seed=8, big_m=1).node_degree()
+    d2 = run_ensemble(double, UNIT_DISC, trials=300, master_seed=8, big_m=1).node_degree()
     assert abs(d2.mean / d1.mean - 2.0) < 0.15
 
 
 def test_vehicle_connectivity_estimates(make_params):
     params = make_params(rho=0.019)
     everyone = make_params(rho=0.01, psi_db=-250.0)
+    full = run_ensemble(everyone, RAYLEIGH, trials=5, master_seed=4, big_m=1)
     for side in ("one", "two"):
-        est = estimate_vehicle_connectivity(everyone, RAYLEIGH, side, trials=5, master_seed=4)
-        assert est.estimate == 1.0
-    one_side = estimate_vehicle_connectivity(params, UNIT_DISC, "one", trials=300, master_seed=12)
-    assert one_side.covers(analytic.p_vehicle_ud(params))
-    two_side = estimate_vehicle_connectivity(params, RAYLEIGH, "two", trials=300, master_seed=12)
+        assert full.vehicle_connectivity(side).estimate == 1.0
+    unit_disc = run_ensemble(params, UNIT_DISC, trials=300, master_seed=12, big_m=1)
+    assert unit_disc.vehicle_connectivity("one").covers(analytic.p_vehicle_ud(params))
+    fading = run_ensemble(params, RAYLEIGH, trials=300, master_seed=12, big_m=1)
+    two_side = fading.vehicle_connectivity("two")
     assert two_side.estimate <= analytic.p_vehicle_rayleigh(params, 10) + 2e-3
-    backward = estimate_vehicle_connectivity(params, UNIT_DISC, "one", trials=50,
-                                             master_seed=12, direction="backward")
-    assert 0.0 <= backward.estimate <= 1.0
+    backward = run_ensemble(params, UNIT_DISC, trials=50, master_seed=12, big_m=1)
+    assert 0.0 <= backward.vehicle_connectivity("one", direction="backward").estimate <= 1.0
     with pytest.raises(ValueError):
-        estimate_vehicle_connectivity(params, UNIT_DISC, "three", trials=5, master_seed=0)
+        backward.vehicle_connectivity("three")
 
 
 def test_parallel_run_is_bit_identical(make_params):
@@ -238,7 +245,8 @@ def test_sweep_rows(make_params):
     first, second = rows
     # a duplicated grid point reproduces the identical row
     assert first.result.network_connectivity() == second.result.network_connectivity()
-    direct = estimate_connectivity(make_params(rho=0.019), UNIT_DISC, trials=60, master_seed=17)
+    direct = run_ensemble(make_params(rho=0.019), UNIT_DISC, trials=60, master_seed=17)
+    direct = direct.network_connectivity()
     assert first.result.network_connectivity().estimate == direct.estimate
 
 
@@ -266,7 +274,8 @@ def test_estimator_error_shrinks_with_trials(make_params):
     assert 0.3 < truth < 0.7
     errors = {
         trials: abs(
-            estimate_connectivity(params, UNIT_DISC, trials, master_seed=77).estimate - truth
+            run_ensemble(params, UNIT_DISC, trials, 77, big_m=1).network_connectivity().estimate
+            - truth
         )
         for trials in (100, 1000, 10_000)
     }

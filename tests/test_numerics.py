@@ -38,19 +38,6 @@ def test_shifted_gaussian_against_erfc_closed_form():
     assert abs(value - expected) < 1e-8 * expected
 
 
-def test_auto_cutoff_matches_explicit():
-    f = lambda x: math.exp(-0.25 * x)
-    auto, _ = integrate_semi_infinite(f)
-    explicit, _ = integrate_semi_infinite(f, upper=200.0)
-    assert abs(auto - explicit) < 1e-9
-    assert abs(auto - 4.0) < 1e-9
-
-
-def test_no_decay_raises():
-    with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda x: 1.0)
-
-
 def test_nonconvergence_is_an_explicit_failure():
     spec = QuadratureSpec(max_subdivisions=1)
     with pytest.raises(QuadratureError):
