@@ -28,12 +28,10 @@ from .channel import (
 )
 from .graph import (
     EdgeList,
-    GraphMatrices,
     SpectralCeilingError,
     algebraic_connectivity,
     count_components,
     count_partitions_eigen,
-    count_partitions_unionfind,
     edges_from_snr,
     is_connected,
 )
@@ -48,7 +46,7 @@ from .montecarlo import (
     run_trial,
     sweep,
 )
-from .numerics import QuadratureError, QuadratureSpec, integrate_semi_infinite, upper_incomplete_gamma
+from .numerics import QuadratureError, integrate_semi_infinite, upper_incomplete_gamma
 from .scenario import Placement, ScenarioParams, erlang_cdf, erlang_pdf, placement_from_headways, sample_headways
 
 __version__ = "0.1.0"

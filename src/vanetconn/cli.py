@@ -146,15 +146,23 @@ def _models(args) -> tuple[str, ...]:
     return (args.model,)
 
 
+def _linear(field: str, to_linear, value: float) -> float:
+    # an overflow here happens before ScenarioParams sees the field, so name it
+    try:
+        return to_linear(value)
+    except OverflowError:
+        raise ValueError(f"{field} out of range: 10^({value!r}/10) overflows a float") from None
+
+
 def _make_params(args, rho: float, psi_db: float) -> ScenarioParams:
     return ScenarioParams(
         rho=rho,
         road_length=args.length_m,
-        tx_power=channel.dbm_to_mw(args.tx_dbm),
+        tx_power=_linear("tx_power", channel.dbm_to_mw, args.tx_dbm),
         noise_power=args.noise_mw,
         beta=args.beta,
         ple=args.alpha,
-        psi=channel.db_to_linear(psi_db),
+        psi=_linear("psi", channel.db_to_linear, psi_db),
     )
 
 
@@ -207,29 +215,25 @@ def _snr_value(fn, params, m) -> str:
         return "diverges"
 
 
-def _simulate_rows(args):
+def _simulate_rows(args, points):
+    models = _models(args)
     rows = montecarlo.sweep(
-        _grid_linear(args),
-        _models(args),
+        [params for _, _, params in points],
+        models,
         args.trials,
         args.seed,
-        road_length=args.length_m,
-        tx_power=channel.dbm_to_mw(args.tx_dbm),
-        noise_power=args.noise_mw,
-        beta=args.beta,
-        ple=args.alpha,
         big_m=args.big_m,
         decider=args.decider,
         workers=args.workers,
     )
-    psi_db_of = {channel.db_to_linear(p): p for _, p in _grid(args)}
-    for row in rows:
-        psi_db = psi_db_of[row.psi]
+    # sweep rows follow point order, then model order
+    labels = [(rho, psi_db) for rho, psi_db, _ in points for _ in models]
+    for (rho, psi_db), row in zip(labels, rows, strict=True):
         base = {
             "model": row.model,
-            "rho": _fmt(row.rho),
+            "rho": _fmt(rho),
             "psi_db": _fmt(psi_db),
-            "n_vehicles": "" if row.n_vehicles is None else str(row.n_vehicles),
+            "n_vehicles": "" if row.error is not None else str(row.params.n_vehicles),
             "trials": str(args.trials),
             "seed": str(args.seed),
         }
@@ -253,13 +257,9 @@ def _simulate_rows(args):
         deg = result.node_degree()
         yield emit("mean_node_degree", deg.mean,
                    deg.mean - _Z95 * deg.std_error, deg.mean + _Z95 * deg.std_error)
-        for m in range(1, min(args.big_m, (row.n_vehicles or 2) - 1) + 1):
+        for m in range(1, min(args.big_m, row.params.n_vehicles - 1) + 1):
             link = result.single_link(m)
             yield emit(f"single_link_m{m}", link.estimate, link.ci_lo, link.ci_hi)
-
-
-def _grid_linear(args) -> list[tuple[float, float]]:
-    return [(rho, channel.db_to_linear(psi_db)) for rho, psi_db in _grid(args)]
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         if args.command == "analytic":
             _write_csv(args.out, ANALYTIC_HEADER, _analytic_rows(args, points))
         else:
-            _write_csv(args.out, SIMULATE_HEADER, _simulate_rows(args))
+            _write_csv(args.out, SIMULATE_HEADER, _simulate_rows(args, points))
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"vanetconn: {exc}", file=sys.stderr)
         return 1

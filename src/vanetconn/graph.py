@@ -7,10 +7,6 @@ the number of zero eigenvalues equals the number of connected components, so
 a graph is connected exactly when the second-smallest eigenvalue (the
 algebraic connectivity) is positive.  It needs a dense Laplacian and a
 tolerance for "zero", and serves as the cross-check.
-
-The spectral functions take either an ``EdgeList`` or a ``GraphMatrices``
-(a validated dense adjacency); both expose ``n``, ``degrees`` and
-``laplacian``.
 """
 
 from __future__ import annotations
@@ -24,16 +20,14 @@ from . import scenario
 
 __all__ = [
     "EdgeList",
-    "GraphMatrices",
     "SpectralCeilingError",
     "edges_from_snr",
-    "matrices_from_adjacency",
+    "edges_from_adjacency",
     "count_components",
     "laplacian_eigenvalues",
     "algebraic_connectivity",
     "check_spectral_ceiling",
     "count_partitions_eigen",
-    "count_partitions_unionfind",
     "is_connected",
 ]
 
@@ -66,48 +60,27 @@ class EdgeList:
         return lap
 
 
-@dataclass(frozen=True)
-class GraphMatrices:
-    """Adjacency, degree vector and Laplacian of one snapshot.
-
-    Stored as integer arrays so Laplacian row sums are exactly zero before any
-    eigensolve; the arrays are locked read-only after construction.
-    """
-
-    adjacency: np.ndarray
-    degrees: np.ndarray
-    laplacian: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-
 def edges_from_snr(snr: np.ndarray, psi: float, n: int) -> EdgeList:
     """Threshold the pair SNR vector of n vehicles: an edge exists where snr >= psi."""
     i, j = scenario.pair_endpoints(np.flatnonzero(snr >= psi), n)
     return EdgeList(n=n, i=i, j=j)
 
 
-def matrices_from_adjacency(adjacency: np.ndarray) -> GraphMatrices:
-    """Validate a 0/1 adjacency matrix and derive degrees and Laplacian."""
+def edges_from_adjacency(adjacency: np.ndarray) -> EdgeList:
+    """Validate a dense 0/1 adjacency matrix and list its edges."""
     a = np.asarray(adjacency)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {a.shape}")
     if a.shape[0] < 2:
         raise ValueError("need at least two nodes")
-    a = a.astype(np.int64)
     if not np.array_equal(a, a.T):
         raise ValueError("adjacency must be symmetric (undirected graph)")
     if np.any(np.diagonal(a) != 0):
         raise ValueError("adjacency must have a zero diagonal (no self-loops)")
     if not np.all((a == 0) | (a == 1)):
         raise ValueError("adjacency entries must be 0 or 1")
-    degrees = a.sum(axis=1)
-    laplacian = np.diag(degrees) - a
-    for arr in (a, degrees, laplacian):
-        arr.flags.writeable = False
-    return GraphMatrices(adjacency=a, degrees=degrees, laplacian=laplacian)
+    i, j = np.nonzero(np.triu(a, 1))
+    return EdgeList(n=a.shape[0], i=i, j=j)
 
 
 def count_components(g: EdgeList) -> int:
@@ -121,18 +94,12 @@ def count_components(g: EdgeList) -> int:
     return int(connected_components(adjacency, directed=False, return_labels=False))
 
 
-def count_partitions_unionfind(g: GraphMatrices) -> int:
-    """Exact component count of a dense snapshot (the combinatorial oracle)."""
-    i, j = np.nonzero(np.triu(g.adjacency, k=1))
-    return count_components(EdgeList(n=g.n, i=i, j=j))
-
-
-def laplacian_eigenvalues(g: EdgeList | GraphMatrices) -> np.ndarray:
+def laplacian_eigenvalues(g: EdgeList) -> np.ndarray:
     """All Laplacian eigenvalues, ascending; raises on eigensolver failure."""
-    return np.linalg.eigvalsh(np.asarray(g.laplacian, dtype=float))
+    return np.linalg.eigvalsh(g.laplacian)
 
 
-def algebraic_connectivity(g: EdgeList | GraphMatrices) -> float:
+def algebraic_connectivity(g: EdgeList) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff the graph is connected."""
     return float(laplacian_eigenvalues(g)[1])
 
@@ -157,20 +124,20 @@ def check_spectral_ceiling(n: int, max_degree: int) -> None:
         )
 
 
-def _spectrum(g: EdgeList | GraphMatrices) -> tuple[np.ndarray, float]:
+def _spectrum(g: EdgeList) -> tuple[np.ndarray, float]:
     """Eigenvalues and the zero tolerance, after the ceiling check."""
     check_spectral_ceiling(g.n, int(g.degrees.max()))
     eigenvalues = laplacian_eigenvalues(g)
     return eigenvalues, _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
 
 
-def count_partitions_eigen(g: EdgeList | GraphMatrices) -> int:
+def count_partitions_eigen(g: EdgeList) -> int:
     """Number of connected components as the count of (near-)zero eigenvalues."""
     eigenvalues, tol = _spectrum(g)
     return int(np.count_nonzero(np.abs(eigenvalues) < tol))
 
 
-def is_connected(g: EdgeList | GraphMatrices) -> bool:
+def is_connected(g: EdgeList) -> bool:
     """Spectral connectivity decision: algebraic connectivity above the zero tolerance."""
     eigenvalues, tol = _spectrum(g)
     return float(eigenvalues[1]) > tol

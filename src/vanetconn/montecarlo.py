@@ -380,61 +380,46 @@ def run_ensemble(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Outcome of one (grid point, model) cell; failures land in ``error``."""
+    """Outcome of one (operating point, model) cell; failures land in ``error``."""
 
+    params: ScenarioParams
     model: str
-    rho: float
-    psi: float
-    n_vehicles: int | None
     result: EnsembleResult | None
     error: str | None
 
 
 def sweep(
-    grid,
+    points,
     models,
     trials: int,
     master_seed: int,
     *,
-    road_length: float,
-    tx_power: float,
-    noise_power: float,
-    beta: float,
-    ple: int,
     big_m: int = 10,
     decider: str = "components",
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Run the ensemble at every (rho, psi) point for every model.
+    """Run the ensemble at every operating point for every model.
 
-    Rows follow grid order, then model order.  Per-trial streams depend only
-    on (master_seed, trial index), so duplicated grid points produce identical
+    Rows follow point order, then model order.  Per-trial streams depend only
+    on (master_seed, trial index), so duplicated points produce identical
     rows and both models share placements at the same seed.  With workers > 1
-    every cell runs in one process pool.  A point that fails with a numerical
+    every cell runs in one process pool.  A cell that fails with a numerical
     or input error is recorded in its row and the sweep continues.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must contain at least one (rho, psi) point")
-    if isinstance(models, str):
-        models = (models,)
+    points = list(points)
+    if not points:
+        raise ValueError("points must contain at least one operating point")
+    for params in points:
+        if not isinstance(params, ScenarioParams):
+            raise TypeError(f"points must be ScenarioParams, got {type(params).__name__}")
     for model in models:
         if model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     rows: list[SweepRow] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for rho, psi in grid:
+        for params in points:
             for model in models:
                 try:
-                    params = ScenarioParams(
-                        rho=rho,
-                        road_length=road_length,
-                        tx_power=tx_power,
-                        noise_power=noise_power,
-                        beta=beta,
-                        ple=ple,
-                        psi=psi,
-                    )
                     result = run_ensemble(
                         params,
                         model,
@@ -446,8 +431,7 @@ def sweep(
                         executor=pool,
                     )
                 except (ValueError, ArithmeticError) as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    rows.append(SweepRow(model, rho, psi, None, None, error))
+                    rows.append(SweepRow(params, model, None, f"{type(exc).__name__}: {exc}"))
                 else:
-                    rows.append(SweepRow(model, rho, psi, params.n_vehicles, result, None))
+                    rows.append(SweepRow(params, model, result, None))
     return rows

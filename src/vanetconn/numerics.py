@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import quad
@@ -12,59 +11,40 @@ _MAX_SERIES_ITER = 500
 _MAX_CF_ITER = 500
 _EPS = 1e-15
 _TINY = 1e-300
+# tolerances of integrate_semi_infinite
+_QUAD_REL_TOL = 1e-10
+_QUAD_ABS_TOL = 1e-14
+_QUAD_MAX_SUBDIVISIONS = 200
 
 
 class QuadratureError(RuntimeError):
     """Quadrature did not converge to the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for semi-infinite integrals of decaying integrands."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    upper: float,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, float]:
+def integrate_semi_infinite(f: Callable[[float], float], upper: float) -> tuple[float, float]:
     """Integrate a decaying integrand over [0, inf).
 
     The infinite tail is cut at ``upper``, which the caller picks so the
-    neglected mass sits below ``spec.abs_tol`` (an exp(-rho*x) envelope makes
-    upper = 50/rho enough, with the tail under e^-50).
+    neglected mass sits below the absolute tolerance (an exp(-rho*x) envelope
+    makes upper = 50/rho enough, with the tail under e^-50).
 
     Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError` when
-    the adaptive rule cannot certify the requested tolerance; it never returns
-    a silently truncated result.
+    the adaptive rule cannot certify relative 1e-10 or absolute 1e-14 within
+    200 subdivisions; it never returns a silently truncated result.
     """
-    spec = spec or DEFAULT_QUADRATURE
     result = quad(
         f,
         0.0,
         upper,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
+        epsabs=_QUAD_ABS_TOL,
+        epsrel=_QUAD_REL_TOL,
+        limit=_QUAD_MAX_SUBDIVISIONS,
         full_output=True,
     )
     value, abserr = result[0], result[1]
     if len(result) > 3:
         raise QuadratureError(f"quadrature on [0, {upper:g}] failed: {result[3]}")
-    allowed = max(spec.abs_tol, spec.rel_tol * abs(value))
+    allowed = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(value))
     if abserr > allowed:
         raise QuadratureError(
             f"error estimate {abserr:.3e} exceeds requested tolerance {allowed:.3e}"

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from vanetconn import analytic, channel, cli
-from vanetconn.graph import count_partitions_eigen, count_partitions_unionfind, matrices_from_adjacency
+from vanetconn.graph import count_components, count_partitions_eigen, edges_from_adjacency
 from vanetconn.montecarlo import RAYLEIGH, UNIT_DISC, run_ensemble, sweep
 from vanetconn.scenario import ScenarioParams, erlang_cdf, sample_headways
 
@@ -141,13 +141,13 @@ def test_vehicle_connectivity_upper_bound():
 
 
 def test_fading_dominates_unit_disc_connectivity():
-    grid = [(round(0.002 + 0.004 * k, 3), channel.db_to_linear(psi_db))
-            for psi_db in (5.0, 15.0) for k in range(8)]
-    rows = sweep(grid, (UNIT_DISC, RAYLEIGH), TRIALS, master_seed=505, big_m=1, **MC_KW)
+    points = [_params(round(0.002 + 0.004 * k, 3), psi_db)
+              for psi_db in (5.0, 15.0) for k in range(8)]
+    rows = sweep(points, (UNIT_DISC, RAYLEIGH), TRIALS, master_seed=505, big_m=1)
     by_point = {}
     for row in rows:
         assert row.error is None, row.error
-        by_point.setdefault((row.rho, row.psi), {})[row.model] = (
+        by_point.setdefault((row.params.rho, row.params.psi), {})[row.model] = (
             row.result.network_connectivity()
         )
     violations, strict, informative = [], 0, 0
@@ -178,11 +178,11 @@ def test_eigen_and_unionfind_partition_counts_agree():
         n = int(rng.integers(2, 101))
         p = float(rng.choice([0.01, 0.03, 0.1, 0.3, 0.8]))
         upper = np.triu((rng.random((n, n)) < p).astype(int), 1)
-        g = matrices_from_adjacency(upper + upper.T)
-        if count_partitions_eigen(g) != count_partitions_unionfind(g):
+        g = edges_from_adjacency(upper + upper.T)
+        if count_partitions_eigen(g) != count_components(g):
             disagreements += 1
     _report(
-        "spectral and union-find partition counts agree",
+        "spectral and connected-components partition counts agree",
         disagreements == 0,
         f"{disagreements} disagreements over 10^4 random graphs up to 100 nodes",
     )

@@ -90,6 +90,8 @@ def test_range_spec_properties(start, step, span):
     ("--beta", "-1"),
     ("--alpha", "0"),
     ("--tx-dbm", "nan"),
+    ("--tx-dbm", "1e5"),
+    ("--psi-db", "1e5"),
 ])
 def test_bad_simulate_arguments_are_usage_errors(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as excinfo:
@@ -134,6 +136,20 @@ def test_simulate_matches_golden_digest(tmp_path, decider):
                      "--trials", "20", "--seed", "7", "--big-m", "3", "--decider", decider)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE[decider]
+
+
+def test_failed_cell_is_an_error_row_and_the_grid_continues(tmp_path):
+    # N = 800 with every pair linked is past the spectral decider's ceiling
+    args = ["--psi-db", "-250", "--trials", "2", "--decider", "eigen", "--model", "unit_disc"]
+    code, out = _run(tmp_path, "simulate", "--rho", "0.08,0.019", *args)
+    assert code == 0
+    rows = _read(out)
+    assert rows[0]["metric"] == "error" and rows[0]["n_vehicles"] == ""
+    assert rows[0]["error"].startswith("SpectralCeilingError: ")
+    alone = tmp_path / "alone.csv"
+    assert main(["simulate", "--rho", "0.019", *args, "--out", str(alone)]) == 0
+    assert rows[1:] == _read(alone)
+    assert {r["n_vehicles"] for r in rows[1:]} == {"190"}
 
 
 def test_simulate_deterministic_output(tmp_path):

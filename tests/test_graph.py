@@ -10,42 +10,38 @@ from vanetconn.graph import (
     check_spectral_ceiling,
     count_components,
     count_partitions_eigen,
-    count_partitions_unionfind,
+    edges_from_adjacency,
     edges_from_snr,
     is_connected,
     laplacian_eigenvalues,
-    matrices_from_adjacency,
 )
 
 
 def _complete(n):
-    a = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
-    return matrices_from_adjacency(a)
+    return edges_from_adjacency(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
 
 
-def _path(n):
+def _path_adjacency(n):
     a = np.zeros((n, n), dtype=int)
     for i in range(n - 1):
         a[i, i + 1] = a[i + 1, i] = 1
-    return matrices_from_adjacency(a)
+    return a
 
 
 def _path_edges(n):
     return EdgeList(n=n, i=np.arange(n - 1), j=np.arange(1, n))
 
 
-def _edges(g):
-    i, j = np.nonzero(np.triu(g.adjacency, 1))
-    return EdgeList(n=g.n, i=i, j=j)
-
-
-def _random_graph(rng, n=None):
+def _random_adjacency(rng, n=None):
     n = n or int(rng.integers(2, 101))
     p = rng.choice([0.02, 0.08, 0.3, 0.7])
     a = (rng.random((n, n)) < p).astype(int)
     a = np.triu(a, 1)
-    a = a + a.T
-    return matrices_from_adjacency(a)
+    return a + a.T
+
+
+def _random_graph(rng, n=None):
+    return edges_from_adjacency(_random_adjacency(rng, n))
 
 
 def test_threshold_builds_expected_graphs():
@@ -69,19 +65,24 @@ def test_threshold_is_inclusive():
 def test_edge_list_matches_dense_matrices():
     rng = np.random.default_rng(5)
     for _ in range(30):
-        g = _random_graph(rng)
-        e = _edges(g)
-        assert np.array_equal(e.degrees, g.degrees)
-        assert np.array_equal(e.laplacian, g.laplacian)
+        a = _random_adjacency(rng)
+        e = edges_from_adjacency(a)
+        assert np.all(e.i < e.j)
+        assert np.array_equal(e.degrees, a.sum(axis=1))
+        assert np.array_equal(e.laplacian, np.diag(a.sum(axis=1)) - a)
 
 
 def test_adjacency_validation():
     with pytest.raises(ValueError):
-        matrices_from_adjacency(np.ones((2, 2), dtype=int))  # self-loops
+        edges_from_adjacency(np.ones((2, 2), dtype=int))  # self-loops
     with pytest.raises(ValueError):
-        matrices_from_adjacency(np.zeros((1, 1), dtype=int))  # single node
+        edges_from_adjacency(np.zeros((1, 1), dtype=int))  # single node
     with pytest.raises(ValueError):
-        matrices_from_adjacency(np.array([[0, 2], [2, 0]]))  # weighted
+        edges_from_adjacency(np.array([[0, 2], [2, 0]]))  # weighted
+    with pytest.raises(ValueError):
+        edges_from_adjacency(np.array([[0, 1], [0, 0]]))  # directed
+    with pytest.raises(ValueError):
+        edges_from_adjacency(np.zeros((2, 3), dtype=int))  # not square
 
 
 def test_complete_graph_spectrum():
@@ -93,7 +94,7 @@ def test_complete_graph_spectrum():
 
 def test_path_graph_eigenvalue():
     # hand diagonalisation of the 3-node chain Laplacian: spectrum {0, 1, 3}
-    g = _path(3)
+    g = edges_from_adjacency(_path_adjacency(3))
     eigs = laplacian_eigenvalues(g)
     assert np.allclose(eigs, [0.0, 1.0, 3.0], atol=1e-9)
     assert abs(algebraic_connectivity(g) - 1.0) < 1e-9
@@ -103,36 +104,34 @@ def test_disconnected_pairs():
     a = np.zeros((4, 4), dtype=int)
     a[0, 1] = a[1, 0] = 1
     a[2, 3] = a[3, 2] = 1
-    g = matrices_from_adjacency(a)
+    g = edges_from_adjacency(a)
     assert abs(algebraic_connectivity(g)) < 1e-9
     assert not is_connected(g)
     assert count_partitions_eigen(g) == 2
-    assert count_partitions_unionfind(g) == 2
+    assert count_components(g) == 2
 
 
 def test_partition_counts_on_fixed_cases():
     triangle = _complete(3)
     assert count_partitions_eigen(triangle) == 1
-    assert count_partitions_unionfind(triangle) == 1
-    empty = matrices_from_adjacency(np.zeros((5, 5), dtype=int))
+    assert count_components(triangle) == 1
+    empty = edges_from_adjacency(np.zeros((5, 5), dtype=int))
     assert count_partitions_eigen(empty) == 5
-    assert count_partitions_unionfind(empty) == 5
+    assert count_components(empty) == 5
     # components of sizes 2 and 3
     a = np.zeros((5, 5), dtype=int)
     for i, j in ((0, 1), (2, 3), (3, 4)):
         a[i, j] = a[j, i] = 1
-    two = matrices_from_adjacency(a)
+    two = edges_from_adjacency(a)
     assert count_partitions_eigen(two) == 2
-    assert count_partitions_unionfind(two) == 2
+    assert count_components(two) == 2
 
 
 def test_connectivity_decisions():
-    chain = _path(8)
-    assert is_connected(chain)
-    broken = chain.adjacency.copy()
-    broken.flags.writeable = True
-    broken[3, 4] = broken[4, 3] = 0
-    assert not is_connected(matrices_from_adjacency(broken))
+    chain = _path_adjacency(8)
+    assert is_connected(edges_from_adjacency(chain))
+    chain[3, 4] = chain[4, 3] = 0
+    assert not is_connected(edges_from_adjacency(chain))
     assert is_connected(_complete(6))
 
 
@@ -140,12 +139,12 @@ def test_eigen_matches_unionfind_on_random_graphs():
     rng = np.random.default_rng(2024)
     for _ in range(300):
         g = _random_graph(rng)
-        assert count_partitions_eigen(g) == count_partitions_unionfind(g)
+        assert count_partitions_eigen(g) == count_components(g)
 
 
 def test_components_and_eigen_agree_including_long_chains():
     rng = np.random.default_rng(31)
-    cases = [_edges(_random_graph(rng)) for _ in range(200)]
+    cases = [_random_graph(rng) for _ in range(200)]
     for n in (2, 50, 400, 1500):
         chain = _path_edges(n)
         cases.append(chain)
@@ -199,14 +198,12 @@ def test_laplacian_properties_random():
 def test_adding_edges_never_disconnects():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        g = _random_graph(rng, n=15)
-        if not is_connected(g):
+        a = _random_adjacency(rng, n=15)
+        if not is_connected(edges_from_adjacency(a)):
             continue
-        a = g.adjacency.copy()
-        a.flags.writeable = True
         zeros = np.argwhere(np.triu(a == 0, 1))
         if zeros.size == 0:
             continue
         i, j = zeros[rng.integers(len(zeros))]
         a[i, j] = a[j, i] = 1
-        assert is_connected(matrices_from_adjacency(a))
+        assert is_connected(edges_from_adjacency(a))

@@ -16,15 +16,6 @@ from vanetconn.montecarlo import (
     wilson_interval,
 )
 
-SWEEP_KW = dict(
-    road_length=10_000.0,
-    tx_power=10**3.3,
-    noise_power=0.01,
-    beta=10.0,
-    ple=2,
-)
-
-
 def test_trial_with_vanishing_threshold_is_complete(make_params):
     params = make_params(rho=0.004, psi_db=-250.0)
     outcome = run_trial(params, UNIT_DISC, trial_rng(1, 0), big_m=3)
@@ -216,7 +207,7 @@ def test_decider_paths_agree(make_params):
         assert eigen.network_connectivity() == both.network_connectivity()
 
 
-def test_sweep_opens_one_pool_and_matches_serial(monkeypatch):
+def test_sweep_opens_one_pool_and_matches_serial(monkeypatch, make_params):
     opened = []
 
     class CountingPool(montecarlo.ProcessPoolExecutor):
@@ -225,13 +216,13 @@ def test_sweep_opens_one_pool_and_matches_serial(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
-    grid = [(0.008, 10**1.5), (0.012, 10**0.5)]
-    serial = sweep(grid, MODELS, trials=12, master_seed=9, big_m=3, **SWEEP_KW)
+    points = [make_params(rho=0.008, psi_db=15.0), make_params(rho=0.012, psi_db=5.0)]
+    serial = sweep(points, MODELS, trials=12, master_seed=9, big_m=3)
     assert opened == []
-    parallel = sweep(grid, MODELS, trials=12, master_seed=9, big_m=3, workers=2, **SWEEP_KW)
+    parallel = sweep(points, MODELS, trials=12, master_seed=9, big_m=3, workers=2)
     assert opened == [2]
     for a, b in zip(serial, parallel, strict=True):
-        assert (a.model, a.rho, a.psi) == (b.model, b.rho, b.psi)
+        assert (a.params, a.model) == (b.params, b.model)
         for x, y in zip(a.result.stats, b.result.stats, strict=True):
             assert x.connected == y.connected
             assert np.array_equal(x.linked_by_gap, y.linked_by_gap)
@@ -239,32 +230,36 @@ def test_sweep_opens_one_pool_and_matches_serial(monkeypatch):
 
 
 def test_sweep_rows(make_params):
-    grid = [(0.019, 10**1.5), (0.019, 10**1.5)]
-    rows = sweep(grid, (UNIT_DISC,), trials=60, master_seed=17, **SWEEP_KW)
-    assert [r.model for r in rows] == [UNIT_DISC, UNIT_DISC]
+    params = make_params(rho=0.019)
+    rows = sweep([params, params], (UNIT_DISC,), trials=60, master_seed=17)
+    assert [(r.params, r.model) for r in rows] == [(params, UNIT_DISC)] * 2
     first, second = rows
-    # a duplicated grid point reproduces the identical row
+    # a duplicated point reproduces the identical row
     assert first.result.network_connectivity() == second.result.network_connectivity()
-    direct = run_ensemble(make_params(rho=0.019), UNIT_DISC, trials=60, master_seed=17)
+    direct = run_ensemble(params, UNIT_DISC, trials=60, master_seed=17)
     direct = direct.network_connectivity()
     assert first.result.network_connectivity().estimate == direct.estimate
 
 
-def test_sweep_records_failures_and_continues():
-    rows = sweep([(-1.0, 31.6), (0.02, 31.6)], (UNIT_DISC,), trials=5, master_seed=1, **SWEEP_KW)
-    assert rows[0].error is not None and "rho" in rows[0].error
-    assert rows[0].result is None
-    assert rows[1].error is None and rows[1].result is not None
+def test_sweep_records_failures_and_continues(make_params):
+    # N = 800 and a complete graph: the spectral decider refuses it before any eigensolve
+    bad, good = make_params(rho=0.08, psi_db=-250.0), make_params(rho=0.02)
+    rows = sweep([bad, good], (UNIT_DISC,), trials=5, master_seed=1, decider="eigen")
+    assert rows[0].params is bad and rows[0].result is None
+    assert rows[0].error.startswith("SpectralCeilingError: ")
+    assert rows[1].params is good and rows[1].error is None
+    assert rows[1].result.trials == 5
 
 
-def test_sweep_does_not_record_programming_errors():
+def test_sweep_does_not_record_programming_errors(make_params):
+    # a point that is not a ScenarioParams is the caller's bug, not a failed cell
     with pytest.raises(TypeError):
-        sweep([("0.02", 31.6)], (UNIT_DISC,), trials=5, master_seed=1, **SWEEP_KW)
+        sweep([make_params(rho=0.02), (0.02, 31.6)], (UNIT_DISC,), trials=5, master_seed=1)
 
 
 def test_sweep_requires_points():
     with pytest.raises(ValueError):
-        sweep([], (UNIT_DISC,), trials=5, master_seed=1, **SWEEP_KW)
+        sweep([], (UNIT_DISC,), trials=5, master_seed=1)
 
 
 def test_estimator_error_shrinks_with_trials(make_params):
