@@ -22,6 +22,7 @@ from .channel import (
     dbm_to_mw,
     deterministic_snr,
     linear_to_db,
+    link_reach,
     mw_to_dbm,
     sample_rayleigh_snr,
     unit_disc_range,

@@ -15,8 +15,10 @@ __all__ = [
     "LinkBudget",
     "deterministic_snr",
     "unit_disc_range",
+    "link_reach",
     "sample_rayleigh_snr",
     "snr_unit_disc",
+    "pair_uniforms",
     "snr_rayleigh",
     "dbm_to_mw",
     "mw_to_dbm",
@@ -66,6 +68,24 @@ def unit_disc_range(budget: LinkBudget, psi: float) -> float:
     return (budget.snr_scale / psi) ** (1.0 / budget.ple)
 
 
+# Generator.random returns multiples of 2^-53 in [0, 1), so 1 - u >= 2^-53 and
+# the inverse-CDF fading factor -ln(1 - u) never exceeds 53 ln 2 = 36.737.
+_FADING_FACTOR_MAX = 37.0
+# far above the rounding of the reach and of the pair distances
+_REACH_MARGIN = 1.0 + 1e-6
+
+
+def link_reach(budget: LinkBudget, psi: float) -> float:
+    """Distance beyond which no pair can link under either channel model.
+
+    A fading draw is at most 37 times its mean (see ``_FADING_FACTOR_MAX``),
+    so a pair whose deterministic SNR times 37 is below psi never links;
+    that happens past ``unit_disc_range * 37^(1/ple)``, which also covers
+    the unit disc.  Leaving out the pairs beyond this reach is exact.
+    """
+    return unit_disc_range(budget, psi) * _FADING_FACTOR_MAX ** (1.0 / budget.ple) * _REACH_MARGIN
+
+
 def sample_rayleigh_snr(d: float, budget: LinkBudget, rng: np.random.Generator) -> float:
     """One fading-channel SNR draw at distance d.
 
@@ -88,19 +108,46 @@ def snr_unit_disc(distances: np.ndarray, budget: LinkBudget) -> np.ndarray:
         return np.divide(budget.snr_scale, snr, out=snr)
 
 
+def pair_uniforms(ahead: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniforms of the pairs in a window, at their places in the pair stream.
+
+    The stream holds one uniform per pair (i, j), i < j, of all n vehicles in
+    row-major upper-triangle order, n = ``ahead.size + 1``; row i uses its
+    first ``ahead[i]`` pairs.  Each run of used pairs is one ``rng.random``
+    call and the pairs skipped at the end of a row are ``advance``d over, so
+    the result is ``rng.random(n * (n - 1) // 2)`` at the used pairs, and the
+    generator ends where that call would leave it.  This needs a bit
+    generator whose ``advance`` counts doubles, as PCG64 (the default) does.
+    """
+    ahead = np.asarray(ahead)
+    skipped = np.arange(ahead.size, 0, -1) - ahead
+    ends = np.cumsum(ahead)
+    u = np.empty(ends[-1])
+    rows = np.flatnonzero(skipped)
+    # one pass per row that skips pairs, about 2 us each, so bound methods
+    draw, advance = rng.random, rng.bit_generator.advance
+    start = 0
+    for stop, skip in zip(ends[rows].tolist(), skipped[rows].tolist()):
+        draw(out=u[start:stop])
+        advance(skip)
+        start = stop
+    draw(out=u[start:])
+    return u
+
+
 def snr_rayleigh(
-    distances: np.ndarray, budget: LinkBudget, rng: np.random.Generator
+    distances: np.ndarray, ahead: np.ndarray, budget: LinkBudget, rng: np.random.Generator
 ) -> np.ndarray:
-    """Fading SNR at each distance of a pair vector, one draw per pair.
+    """Fading SNR at each distance of a pair window, one draw per pair.
 
     Each draw is exponential with mean the deterministic SNR at the pair
-    distance, sampled by inverse CDF from one ``rng.random`` call in pair
-    order; a pair is one reciprocal link, so there is nothing to mirror.
-    Computed in place, which keeps the result bit-identical to
+    distance, sampled by inverse CDF from the pair's uniform in the stream
+    of ``pair_uniforms``; a pair is one reciprocal link, so there is nothing
+    to mirror.  Computed in place, which keeps the result bit-identical to
     ``-means * log(1 - u)`` while holding only two pair-sized arrays.
     """
     snr = snr_unit_disc(distances, budget)
-    u = rng.random(snr.size)
+    u = pair_uniforms(ahead, rng)
     np.subtract(1.0, u, out=u)  # maps [0, 1) onto (0, 1]
     np.log(u, out=u)
     with np.errstate(invalid="ignore"):

@@ -1,7 +1,7 @@
 """Snapshot graphs and the connectivity deciders.
 
-A trial's graph is an edge list thresholded from the pair SNR vector.  The
-exact decider counts its connected components with scipy's
+A trial's graph is an edge list thresholded from the SNR of a pair window.
+The exact decider counts its connected components with scipy's
 ``connected_components``.  The spectral decider follows the Laplacian route:
 the number of zero eigenvalues equals the number of connected components, so
 a graph is connected exactly when the second-smallest eigenvalue (the
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from . import scenario
 
 __all__ = [
     "EdgeList",
@@ -60,10 +58,12 @@ class EdgeList:
         return lap
 
 
-def edges_from_snr(snr: np.ndarray, psi: float, n: int) -> EdgeList:
-    """Threshold the pair SNR vector of n vehicles: an edge exists where snr >= psi."""
-    i, j = scenario.pair_endpoints(np.flatnonzero(snr >= psi), n)
-    return EdgeList(n=n, i=i, j=j)
+def edges_from_snr(
+    snr: np.ndarray, psi: float, i: np.ndarray, j: np.ndarray, n: int
+) -> EdgeList:
+    """Threshold the SNR of pairs (i, j) of n vehicles: an edge exists where snr >= psi."""
+    linked = snr >= psi
+    return EdgeList(n=n, i=i[linked], j=j[linked])
 
 
 def edges_from_adjacency(adjacency: np.ndarray) -> EdgeList:

@@ -1,10 +1,11 @@
 """Seeded graph-ensemble simulation of every connectivity metric.
 
-One trial draws a placement, computes the SNR of every vehicle pair under the
-chosen channel model, thresholds it into an edge list and reads all metrics
-off that edge list.  Trial t always uses the stream seeded by (master_seed,
-t), so results are bit-identical regardless of execution order or worker
-count, and the two channel models see the same placements at the same seed.
+One trial draws a placement, computes the SNR of every vehicle pair that can
+link at all under the chosen channel model, thresholds it into an edge list
+and reads all metrics off that edge list.  Trial t always uses the stream
+seeded by (master_seed, t), so results are bit-identical regardless of
+execution order or worker count, and the two channel models see the same
+placements at the same seed.
 """
 
 from __future__ import annotations
@@ -130,6 +131,20 @@ def _cluster_interval(fractions: np.ndarray) -> tuple[float, float, float]:
     return mean, max(0.0, mean - _Z95 * se), min(1.0, mean + _Z95 * se)
 
 
+def _check_arguments(models, big_m: int, decider: str, trials: int = 1, master_seed: int = 0):
+    for model in models:
+        if model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    if decider not in DECIDERS:
+        raise ValueError(f"decider must be one of {DECIDERS}, got {decider!r}")
+    if big_m < 1:
+        raise ValueError("big_m must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if master_seed < 0:
+        raise ValueError("master_seed must be a nonnegative integer")
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Stream for one trial, derived only from (master_seed, trial index)."""
     return np.random.default_rng([master_seed, trial_index])
@@ -142,7 +157,12 @@ def run_trial(
     big_m: int = 10,
     decider: str = "components",
 ) -> TrialOutcome:
-    """One snapshot: placement -> pair SNR vector -> edge list -> metrics.
+    """One snapshot: in-window pairs -> SNR -> edge list -> metrics.
+
+    The pair window is every pair within ``channel.link_reach``, which holds
+    every pair that can link under either model; the fading uniforms keep
+    their places in the full pair stream, so the outcome is the one of a
+    trial over all pairs.
 
     ``components`` decides connectivity exactly.  On the unit disc a link
     at some distance implies links at every shorter one, so the graph is
@@ -151,21 +171,17 @@ def run_trial(
     counted.  ``eigen`` uses the spectral test instead; ``both`` reports the
     exact answer and flags a disagreement of the spectral one.
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    if decider not in DECIDERS:
-        raise ValueError(f"decider must be one of {DECIDERS}, got {decider!r}")
-    if big_m < 1:
-        raise ValueError("big_m must be >= 1")
+    _check_arguments((model,), big_m, decider)
 
     headways = scenario.sample_headways(params, rng)
-    placement = scenario.placement_from_headways(headways)
+    reach = channel.link_reach(params.budget, params.psi)
+    placement = scenario.placement_from_headways(headways, reach)
     if model == UNIT_DISC:
         snr = channel.snr_unit_disc(placement.distances, params.budget)
     else:
-        snr = channel.snr_rayleigh(placement.distances, params.budget, rng)
+        snr = channel.snr_rayleigh(placement.distances, placement.ahead, params.budget, rng)
     n = placement.n_vehicles
-    edges = graph.edges_from_snr(snr, params.psi, n)
+    edges = graph.edges_from_snr(snr, params.psi, placement.i, placement.j, n)
 
     degrees = edges.degrees
     forward_links = np.bincount(edges.i, minlength=n)
@@ -345,10 +361,7 @@ def run_ensemble(
     call; the per-trial streams and the index-ordered fold keep the result
     identical to a serial run.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
+    _check_arguments((model,), big_m, decider, trials, master_seed)
     worker = partial(
         _trial_stats,
         params=params,
@@ -403,8 +416,9 @@ def sweep(
     Rows follow point order, then model order.  Per-trial streams depend only
     on (master_seed, trial index), so duplicated points produce identical
     rows and both models share placements at the same seed.  With workers > 1
-    every cell runs in one process pool.  A cell that fails with a numerical
-    or input error is recorded in its row and the sweep continues.
+    every cell runs in one process pool.  Arguments are checked before any
+    cell runs; a cell that fails with a numerical or input error is recorded
+    in its row and the sweep continues.
     """
     points = list(points)
     if not points:
@@ -412,9 +426,7 @@ def sweep(
     for params in points:
         if not isinstance(params, ScenarioParams):
             raise TypeError(f"points must be ScenarioParams, got {type(params).__name__}")
-    for model in models:
-        if model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    _check_arguments(models, big_m, decider, trials, master_seed)
     rows: list[SweepRow] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for params in points:

@@ -21,8 +21,6 @@ __all__ = [
     "Placement",
     "sample_headways",
     "placement_from_headways",
-    "pair_distances",
-    "pair_endpoints",
     "erlang_pdf",
     "erlang_cdf",
 ]
@@ -68,16 +66,21 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class Placement:
-    """One sampled snapshot: spacings, coordinates and pairwise distances.
+    """One sampled snapshot: spacings, coordinates and the pairs within reach.
 
-    ``distances`` holds one entry per unordered pair (i, j), i < j, in the
-    row-major upper-triangle order of ``np.triu_indices(n, 1)``: that vector
-    is the only pair layout, shared by the channel draw and the edge list.
+    The pair window lists every pair (i, j), i < j, with
+    ``positions[j] <= positions[i] + reach``, in row-major upper-triangle
+    order: row i holds its first ``ahead[i]`` successors.  ``distances`` is
+    ``positions[j] - positions[i]`` for those pairs.  This is the only pair
+    layout, shared by the channel draw and the edge list.
     """
 
     headways: np.ndarray
     positions: np.ndarray
     distances: np.ndarray
+    ahead: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
 
     @property
     def n_vehicles(self) -> int:
@@ -95,43 +98,33 @@ def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndar
     return -np.log(u) / params.rho
 
 
-def placement_from_headways(headways: np.ndarray) -> Placement:
-    """Build positions by prefix sums and the pair distance vector."""
+def placement_from_headways(headways: np.ndarray, reach: float) -> Placement:
+    """Build positions by prefix sums and the window of pairs within reach.
+
+    Positions are sorted, so row i of the window ends at the first vehicle
+    past ``positions[i] + reach``; one ``searchsorted`` finds every row's
+    end, and time and memory are linear in the number of pairs listed.
+    ``reach = inf`` lists the whole upper triangle.
+    """
     headways = np.asarray(headways, dtype=float)
     if headways.ndim != 1 or headways.size < 1:
         raise ValueError("need at least one headway (two vehicles)")
     if not np.all(np.isfinite(headways)) or np.any(headways < 0):
         raise ValueError("headways must be finite and >= 0")
+    if not reach >= 0:
+        raise ValueError(f"reach must be >= 0, got {reach!r}")
     positions = np.concatenate(([0.0], np.cumsum(headways)))
-    distances = pair_distances(positions)
+    rows = np.arange(headways.size)
+    ahead = np.searchsorted(positions, positions[:-1] + reach, side="right") - rows - 1
+    i = np.repeat(rows, ahead)
+    # j runs i + 1, i + 2, ... within each row
+    row_start = np.cumsum(ahead) - ahead
+    j = np.arange(i.size) + np.repeat(rows + 1 - row_start, ahead)
+    distances = positions[j] - positions[i]
     headways = headways.copy()
-    for arr in (headways, positions, distances):
+    for arr in (headways, positions, distances, ahead, i, j):
         arr.flags.writeable = False
-    return Placement(headways=headways, positions=positions, distances=distances)
-
-
-def pair_distances(positions: np.ndarray) -> np.ndarray:
-    """positions[j] - positions[i] for every pair i < j, row-major.
-
-    Positions are sorted, so each entry is the pair's distance.  Filled one
-    row at a time, which needs no index arrays and no N x N temporary.
-    """
-    n = positions.size
-    out = np.empty(n * (n - 1) // 2)
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.subtract(positions[i + 1 :], positions[i], out=out[start:stop])
-        start = stop
-    return out
-
-
-def pair_endpoints(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) vehicles of pair indices k in the layout of ``pair_distances``."""
-    rows = np.arange(n)
-    row_start = rows * (2 * n - rows - 1) // 2
-    i = np.searchsorted(row_start, k, side="right") - 1
-    return i, k - row_start[i] + i + 1
+    return Placement(headways, positions, distances, ahead, i, j)
 
 
 def erlang_pdf(x, m: int, rho: float):

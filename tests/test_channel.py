@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetconn.channel import (
     LinkBudget,
@@ -9,7 +11,9 @@ from vanetconn.channel import (
     dbm_to_mw,
     deterministic_snr,
     linear_to_db,
+    link_reach,
     mw_to_dbm,
+    pair_uniforms,
     sample_rayleigh_snr,
     snr_rayleigh,
     snr_unit_disc,
@@ -116,22 +120,57 @@ def test_unit_disc_matrix():
 
 
 def test_rayleigh_matrix_reciprocity_and_seeding():
-    # one draw per unordered pair, so each link is reciprocal by construction
+    # one draw per unordered pair, so each link is reciprocal by construction;
+    # 15 distances are the whole pair triangle of 6 vehicles
     d = np.arange(1, 16) * 120.0
-    a = snr_rayleigh(d, BUDGET, np.random.default_rng(3))
-    b = snr_rayleigh(d, BUDGET, np.random.default_rng(3))
+    ahead = np.array([5, 4, 3, 2, 1])
+    a = snr_rayleigh(d, ahead, BUDGET, np.random.default_rng(3))
+    b = snr_rayleigh(d, ahead, BUDGET, np.random.default_rng(3))
     assert np.array_equal(a, b)
     assert a.shape == d.shape
     assert np.all(a > 0.0)
     # inverse-CDF draws in pair order from a single uniform call
     u = 1.0 - np.random.default_rng(3).random(d.size)
     assert np.array_equal(a, -snr_unit_disc(d, BUDGET) * np.log(u))
+    # a window of pairs (0, 1), (0, 2), (1, 2), (3, 4) keeps their stream places
+    w = snr_rayleigh(d[[0, 1, 5, 12]], np.array([2, 1, 0, 1, 0]), BUDGET,
+                     np.random.default_rng(3))
+    assert np.array_equal(w, a[[0, 1, 5, 12]])
 
 
 def test_coincident_vehicles_always_link():
     d = np.array([0.0])
     assert snr_unit_disc(d, BUDGET)[0] == math.inf
-    assert snr_rayleigh(d, BUDGET, np.random.default_rng(0))[0] == math.inf
+    assert snr_rayleigh(d, np.array([1]), BUDGET, np.random.default_rng(0))[0] == math.inf
+
+
+def test_fading_factor_bound():
+    # the largest factor -ln(1 - u) a double uniform can give is 53 ln 2
+    assert -np.log(2.0**-53) < 37
+    assert 1.0 - (1.0 - 2.0**-53) == 2.0**-53
+    for ple in (1, 2, 3, 4, 6):
+        budget = LinkBudget(tx_power=dbm_to_mw(33.0), noise_power=0.01, beta=10.0, ple=ple)
+        for psi in (0.01, 1.0, db_to_linear(15.0), 1e4):
+            reach = link_reach(budget, psi)
+            assert reach > unit_disc_range(budget, psi)
+            # the strongest fade at the reach stays below the threshold
+            assert -np.log(2.0**-53) * deterministic_snr(reach, budget) < psi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+def test_pair_uniforms_keep_their_stream_places(n, seed):
+    rng = np.random.default_rng(seed)
+    # any count of used pairs per row, from none to the whole row
+    ahead = rng.integers(0, np.arange(n - 1, 0, -1) + 1)
+    ahead[rng.random(n - 1) < 0.3] = 0
+    rows = np.repeat(np.arange(n - 1), ahead)
+    row_start = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
+    k = np.arange(rows.size) - np.repeat(np.cumsum(ahead) - ahead, ahead) + row_start[rows]
+    ours, dense = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    assert np.array_equal(pair_uniforms(ahead, ours), dense.random(n * (n - 1) // 2)[k])
+    # the generator ends where the full draw leaves it
+    assert ours.random() == dense.random()
 
 
 def test_db_conversions():

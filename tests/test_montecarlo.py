@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vanetconn import analytic, channel, montecarlo
@@ -15,6 +17,7 @@ from vanetconn.montecarlo import (
     trial_rng,
     wilson_interval,
 )
+from vanetconn.scenario import placement_from_headways, sample_headways
 
 def test_trial_with_vanishing_threshold_is_complete(make_params):
     params = make_params(rho=0.004, psi_db=-250.0)
@@ -47,14 +50,13 @@ def test_trial_deterministic_for_fixed_stream(make_params):
 def test_fading_edges_can_jump_over_an_isolated_vehicle(make_params):
     # vehicle 3 links to nobody, yet the fading link (0, 5) jumps over it, so
     # every cut between successive vehicles is crossed by some edge
-    from vanetconn.scenario import placement_from_headways, sample_headways
-
     params = make_params(rho=0.005, psi_db=5.0)
     n = params.n_vehicles
     rng = trial_rng(3, 188)
-    placement = placement_from_headways(sample_headways(params, rng))
-    snr = channel.snr_rayleigh(placement.distances, params.budget, rng)
-    edges = edges_from_snr(snr, params.psi, n)
+    reach = channel.link_reach(params.budget, params.psi)
+    placement = placement_from_headways(sample_headways(params, rng), reach)
+    snr = channel.snr_rayleigh(placement.distances, placement.ahead, params.budget, rng)
+    edges = edges_from_snr(snr, params.psi, placement.i, placement.j, n)
     crossings = np.cumsum(np.bincount(edges.i, minlength=n) - np.bincount(edges.j, minlength=n))
     assert np.all(crossings[:-1] > 0)
 
@@ -62,6 +64,84 @@ def test_fading_edges_can_jump_over_an_isolated_vehicle(make_params):
     assert outcome.degrees[3] == 0
     assert not outcome.connected
     assert outcome.decider_mismatch is False
+
+
+def _full_triangle_edges(headways, params, model, rng):
+    """Reference edge list: every pair of the triangle, one uniform per pair."""
+    positions = np.concatenate(([0.0], np.cumsum(headways)))
+    i, j = np.triu_indices(positions.size, 1)
+    d = positions[j] - positions[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = params.budget.snr_scale / d**params.budget.ple
+        if model == RAYLEIGH:
+            snr = -snr * np.log(1.0 - rng.random(i.size))
+    snr[np.isnan(snr)] = np.inf
+    linked = snr >= params.psi
+    return i[linked], j[linked]
+
+
+def _window_edges(headways, params, model, rng):
+    reach = channel.link_reach(params.budget, params.psi)
+    p = placement_from_headways(headways, reach)
+    if model == UNIT_DISC:
+        snr = channel.snr_unit_disc(p.distances, params.budget)
+    else:
+        snr = channel.snr_rayleigh(p.distances, p.ahead, params.budget, rng)
+    return edges_from_snr(snr, params.psi, p.i, p.j, p.n_vehicles)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 400),
+    mean_gap=st.floats(0.5, 500.0),
+    psi_db=st.floats(-20.0, 25.0),
+    ple=st.integers(2, 4),
+    model=st.sampled_from(MODELS),
+    coincident=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=300, mean_gap=3.0, psi_db=25.0, ple=4, model=RAYLEIGH, coincident=8, seed=5)
+@example(n=60, mean_gap=30.0, psi_db=-20.0, ple=2, model=RAYLEIGH, coincident=3, seed=6)
+def test_pair_window_is_exact(make_params, n, mean_gap, psi_db, ple, model, coincident, seed):
+    # from a window over the whole road down to a few vehicles per window
+    params = make_params(psi_db=psi_db, ple=ple)
+    rng = np.random.default_rng(seed)
+    headways = rng.exponential(mean_gap, n - 1)
+    headways[rng.integers(0, n - 1, coincident)] = 0.0
+    ref_i, ref_j = _full_triangle_edges(headways, params, model, np.random.default_rng([seed, 1]))
+    edges = _window_edges(headways, params, model, np.random.default_rng([seed, 1]))
+    assert np.array_equal(edges.i, ref_i) and np.array_equal(edges.j, ref_j)
+
+
+def test_trial_matches_the_full_triangle(make_params):
+    for psi_db in (-10.0, 5.0, 25.0):
+        params = make_params(rho=0.02, road_length=6_000.0, psi_db=psi_db)
+        n = params.n_vehicles
+        for model in MODELS:
+            for t in range(3):
+                rng = trial_rng(13, t)
+                i, j = _full_triangle_edges(sample_headways(params, rng), params, model, rng)
+                outcome = run_trial(params, model, trial_rng(13, t), big_m=n - 1)
+                degrees = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+                assert np.array_equal(outcome.degrees, degrees)
+                assert np.array_equal(outcome.linked_pairs_by_gap,
+                                      np.bincount(j - i, minlength=n)[1:])
+
+
+def test_trial_memory_is_linear_in_vehicles(make_params):
+    # the full pair triangle of 20 000 vehicles would need about 1.6 GB
+    params = make_params(rho=0.03, road_length=20_000 / 0.03, psi_db=15.0)
+    assert params.n_vehicles == 20_000
+    run_trial(make_params(), RAYLEIGH, trial_rng(1, 0))  # lazy imports off the trace
+    tracemalloc.start()
+    try:
+        outcome = run_trial(params, RAYLEIGH, trial_rng(1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.degrees.size == 20_000
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_trial_validates_inputs(make_params):
@@ -83,8 +163,6 @@ def test_connected_trials_have_no_isolated_vehicles(make_params):
 def test_unit_disc_connectivity_equals_successor_rule(make_params):
     # on a unit disc the network is connected exactly when every spacing
     # fits inside the communication radius
-    from vanetconn.scenario import sample_headways
-
     params = make_params(rho=0.008)
     r = analytic.communication_range(params)
     for t in range(60):
@@ -255,6 +333,22 @@ def test_sweep_does_not_record_programming_errors(make_params):
     # a point that is not a ScenarioParams is the caller's bug, not a failed cell
     with pytest.raises(TypeError):
         sweep([make_params(rho=0.02), (0.02, 31.6)], (UNIT_DISC,), trials=5, master_seed=1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"decider": "bogus"},
+    {"big_m": 0},
+    {"trials": 0},
+    {"master_seed": -1},
+    {"models": ("freespace",)},
+], ids=["decider", "big_m", "trials", "master_seed", "models"])
+def test_sweep_rejects_bad_arguments_before_any_cell(monkeypatch, make_params, kwargs):
+    opened = []
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", lambda **kw: opened.append(kw))
+    args = {"models": MODELS, "trials": 3, "master_seed": 1, "workers": 2, **kwargs}
+    with pytest.raises(ValueError):
+        sweep([make_params(rho=0.02)], **args)
+    assert opened == []
 
 
 def test_sweep_requires_points():

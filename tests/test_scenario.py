@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from vanetconn.scenario import (
     erlang_cdf,
     erlang_pdf,
-    pair_endpoints,
     placement_from_headways,
     sample_headways,
 )
@@ -61,49 +60,72 @@ def test_headways_deterministic_for_fixed_seed(make_params):
 
 
 def test_placement_prefix_sums():
-    p = placement_from_headways([10.0, 20.0])
+    p = placement_from_headways([10.0, 20.0], math.inf)
     assert np.array_equal(p.positions, [0.0, 10.0, 30.0])
     # pairs (0, 1), (0, 2), (1, 2)
     assert p.distances.tolist() == [10.0, 30.0, 20.0]
+    assert p.i.tolist() == [0, 0, 1] and p.j.tolist() == [1, 2, 2]
+    # a 25 m reach drops the 30 m pair (0, 2)
+    q = placement_from_headways([10.0, 20.0], 25.0)
+    assert q.ahead.tolist() == [1, 1]
+    assert q.distances.tolist() == [10.0, 20.0]
 
 
 def test_placement_rejects_bad_input():
     with pytest.raises(ValueError):
-        placement_from_headways([])
+        placement_from_headways([], math.inf)
     with pytest.raises(ValueError):
-        placement_from_headways([1.0, -2.0])
+        placement_from_headways([1.0, -2.0], math.inf)
+    for reach in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            placement_from_headways([1.0, 2.0], reach)
 
 
 def test_placement_symmetry_and_invariants():
-    p = placement_from_headways([5.0, 5.0, 5.0])
+    p = placement_from_headways([5.0, 5.0, 5.0], math.inf)
     assert p.distances.tolist() == [5.0, 10.0, 15.0, 5.0, 10.0, 5.0]
     assert np.array_equal(np.diff(p.positions), p.headways)
-    # the pair vector is the upper triangle of the symmetric distance matrix
+    # at infinite reach the pair vector is the upper triangle of the
+    # symmetric distance matrix
     rng = np.random.default_rng(7)
-    q = placement_from_headways(rng.exponential(50.0, size=30))
+    q = placement_from_headways(rng.exponential(50.0, size=30), math.inf)
     dense = np.abs(q.positions[:, None] - q.positions[None, :])
     assert np.array_equal(q.distances, dense[np.triu_indices(q.n_vehicles, 1)])
     # distance grows with neighbour order on a line
     for i in range(q.n_vehicles - 2):
         row = dense[i, i + 1 :]
         assert np.all(np.diff(row) > 0)
+    # a finite reach keeps exactly the triangle pairs within it, in order,
+    # coincident vehicles included
+    headways = q.headways.copy()
+    headways[[4, 5, 17]] = 0.0
+    q = placement_from_headways(headways, math.inf)
+    for reach in (0.0, 40.0, 120.0, 1e3):
+        w = placement_from_headways(headways, reach)
+        rows, cols = np.triu_indices(q.n_vehicles, 1)
+        keep = q.positions[cols] <= q.positions[rows] + reach
+        assert np.array_equal(w.i, rows[keep]) and np.array_equal(w.j, cols[keep])
+        assert np.array_equal(w.distances, q.distances[keep])
+        assert np.array_equal(w.ahead, np.bincount(w.i, minlength=q.n_vehicles - 1))
 
 
-def test_pair_endpoints_invert_the_pair_layout():
+def test_infinite_reach_window_is_the_upper_triangle():
     for n in (2, 3, 7, 40):
-        i, j = pair_endpoints(np.arange(n * (n - 1) // 2), n)
+        p = placement_from_headways(np.ones(n - 1), math.inf)
         rows, cols = np.triu_indices(n, 1)
-        assert np.array_equal(i, rows) and np.array_equal(j, cols)
-    i, j = pair_endpoints(np.array([], dtype=np.int64), 5)
-    assert i.size == 0 and j.size == 0
+        assert np.array_equal(p.i, rows) and np.array_equal(p.j, cols)
+        assert p.ahead.tolist() == list(range(n - 1, 0, -1))
+    # a reach shorter than every headway leaves no pair at all
+    p = placement_from_headways(np.ones(4), 0.5)
+    assert p.i.size == 0 and p.j.size == 0 and p.distances.size == 0
+    assert p.ahead.tolist() == [0, 0, 0, 0]
 
 
 def test_placement_arrays_are_locked():
-    p = placement_from_headways([1.0, 2.0])
-    with pytest.raises(ValueError):
-        p.distances[0] = 99.0
-    with pytest.raises(ValueError):
-        p.positions[0] = 99.0
+    p = placement_from_headways([1.0, 2.0], math.inf)
+    for arr in (p.distances, p.positions, p.ahead, p.i, p.j):
+        with pytest.raises(ValueError):
+            arr[0] = 99
 
 
 def test_erlang_pdf_first_neighbour_is_exponential():
