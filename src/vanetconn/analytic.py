@@ -66,8 +66,12 @@ def p_sl_ud_first(params: ScenarioParams) -> float:
 
 def p_network_ud(params: ScenarioParams) -> float:
     """Unit-disc network connectivity: all N-1 successive links present."""
-    log_single = math.log1p(-math.exp(-params.rho * communication_range(params)))
-    return math.exp((params.n_vehicles - 1) * log_single)
+    x = params.rho * communication_range(params)
+    q = math.exp(-x)
+    if q == 1.0:
+        # x below 2^-53: 1 - e^-x is x to double precision, and log1p(-1) would raise
+        return x ** (params.n_vehicles - 1)
+    return math.exp((params.n_vehicles - 1) * math.log1p(-q))
 
 
 def p_sl_ud_mth(params: ScenarioParams, m: int = 1) -> float:

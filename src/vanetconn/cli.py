@@ -49,7 +49,12 @@ _FLAG_OF_FIELD = {
 
 
 def _parse_value_spec(text: str, flag: str) -> list[float]:
-    """Parse '0.01', '0.01,0.02' or 'start:stop:step' (stop inclusive)."""
+    """Parse '0.01', '0.01,0.02' or 'start:stop:step'.
+
+    A range lists start + k*step for every k that stays at or below stop,
+    within 1e-9 of a step for rounding; a point that overshoots stop by that
+    rounding is clamped onto it.
+    """
     text = text.strip()
     if not text:
         raise argparse.ArgumentTypeError(f"{flag}: empty value list")
@@ -63,7 +68,7 @@ def _parse_value_spec(text: str, flag: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"{flag}: {exc}") from None
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"{flag}: need step > 0 and stop >= start")
-        count = math.floor((stop - start) / step + 0.5) + 1
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return [min(start + k * step, stop) for k in range(count)]
     try:
         return [float(p) for p in text.split(",") if p.strip()]

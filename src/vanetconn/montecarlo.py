@@ -11,6 +11,7 @@ placements at the same seed.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -91,18 +92,6 @@ class MeanEstimate:
     master_seed: int
 
 
-@dataclass(frozen=True)
-class _TrialStats:
-    connected: bool
-    mismatch: bool
-    linked_by_gap: np.ndarray
-    n_isolated_two_side: int
-    n_isolated_forward: int
-    n_isolated_backward: int
-    degree_mean_all: float
-    degree_mean_interior: float
-
-
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval; well behaved near 0/1 and at small trial counts."""
     if trials < 1:
@@ -143,6 +132,11 @@ def _check_arguments(models, big_m: int, decider: str, trials: int = 1, master_s
         raise ValueError("trials must be >= 1")
     if master_seed < 0:
         raise ValueError("master_seed must be a nonnegative integer")
+
+
+def _pool_size(workers: int, trials: int) -> int:
+    """Processes worth starting: no more than the trials or the cores."""
+    return min(workers, trials, os.cpu_count() or 1)
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -225,22 +219,7 @@ def default_interior_margin(params: ScenarioParams) -> int:
     return max(0, min(margin, (params.n_vehicles - 10) // 2))
 
 
-def _summarize(outcome: TrialOutcome, margin: int) -> _TrialStats:
-    degrees = outcome.degrees
-    interior = degrees[margin : degrees.size - margin] if margin > 0 else degrees
-    return _TrialStats(
-        connected=outcome.connected,
-        mismatch=bool(outcome.decider_mismatch),
-        linked_by_gap=outcome.linked_pairs_by_gap,
-        n_isolated_two_side=outcome.n_isolated_two_side,
-        n_isolated_forward=outcome.n_isolated_forward,
-        n_isolated_backward=outcome.n_isolated_backward,
-        degree_mean_all=float(degrees.mean()),
-        degree_mean_interior=float(interior.mean()),
-    )
-
-
-def _trial_stats(
+def _trial_row(
     trial_index: int,
     params: ScenarioParams,
     model: str,
@@ -248,15 +227,26 @@ def _trial_stats(
     big_m: int,
     decider: str,
     margin: int,
-) -> _TrialStats:
-    rng = trial_rng(master_seed, trial_index)
-    outcome = run_trial(params, model, rng, big_m=big_m, decider=decider)
-    return _summarize(outcome, margin)
+) -> tuple:
+    """Trial ``trial_index`` as one entry per ``EnsembleResult`` array, in field order."""
+    outcome = run_trial(params, model, trial_rng(master_seed, trial_index), big_m, decider)
+    degrees = outcome.degrees
+    interior = degrees[margin : degrees.size - margin] if margin > 0 else degrees
+    return (
+        outcome.connected,
+        bool(outcome.decider_mismatch),
+        outcome.linked_pairs_by_gap,
+        outcome.n_isolated_two_side,
+        outcome.n_isolated_forward,
+        outcome.n_isolated_backward,
+        float(degrees.mean()),
+        float(interior.mean()),
+    )
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Per-trial statistics of one ensemble plus the estimators over them."""
+    """Per-trial arrays of one ensemble, entry t from trial t, plus the estimators over them."""
 
     params: ScenarioParams
     model: str
@@ -264,10 +254,17 @@ class EnsembleResult:
     master_seed: int
     big_m: int
     decider: str
-    stats: tuple[_TrialStats, ...]
+    connected: np.ndarray  # bool, (trials,)
+    mismatch: np.ndarray  # bool, (trials,): the spectral test disagreed (decider "both")
+    linked_by_gap: np.ndarray  # int, (trials, big_m): linked (i, i+m) pairs, m = 1..big_m
+    n_isolated_two_side: np.ndarray  # int, (trials,)
+    n_isolated_forward: np.ndarray  # int, (trials,)
+    n_isolated_backward: np.ndarray  # int, (trials,)
+    degree_mean_all: np.ndarray  # float, (trials,)
+    degree_mean_interior: np.ndarray  # float, (trials,): inside default_interior_margin
 
     def network_connectivity(self) -> EnsembleEstimate:
-        successes = sum(s.connected for s in self.stats)
+        successes = int(np.count_nonzero(self.connected))
         lo, hi = wilson_interval(successes, self.trials)
         return EnsembleEstimate(
             trials=self.trials,
@@ -284,7 +281,7 @@ class EnsembleResult:
         eligible = self.params.n_vehicles - m
         if eligible < 1:
             raise ValueError(f"no (i, i+{m}) pairs exist for N={self.params.n_vehicles}")
-        counts = np.array([s.linked_by_gap[m - 1] for s in self.stats], dtype=float)
+        counts = self.linked_by_gap[:, m - 1].astype(float)
         mean, lo, hi = _cluster_interval(counts / eligible)
         return EnsembleEstimate(
             trials=self.trials,
@@ -302,9 +299,7 @@ class EnsembleResult:
         biases the plain average low against the infinite-road expectation;
         ``interior=False`` gives that plain average over all vehicles.
         """
-        means = np.array(
-            [s.degree_mean_interior if interior else s.degree_mean_all for s in self.stats]
-        )
+        means = self.degree_mean_interior if interior else self.degree_mean_all
         se = float(means.std(ddof=1)) / math.sqrt(self.trials) if self.trials > 1 else 0.0
         return MeanEstimate(
             trials=self.trials,
@@ -316,13 +311,13 @@ class EnsembleResult:
     def vehicle_connectivity(self, side: str = "two", direction: str = "forward") -> EnsembleEstimate:
         n = self.params.n_vehicles
         if side == "two":
-            isolated = np.array([s.n_isolated_two_side for s in self.stats], dtype=float)
+            isolated = self.n_isolated_two_side.astype(float)
             eligible = n
         elif side == "one":
             if direction == "forward":
-                isolated = np.array([s.n_isolated_forward for s in self.stats], dtype=float)
+                isolated = self.n_isolated_forward.astype(float)
             elif direction == "backward":
-                isolated = np.array([s.n_isolated_backward for s in self.stats], dtype=float)
+                isolated = self.n_isolated_backward.astype(float)
             else:
                 raise ValueError(f"direction must be forward or backward, got {direction!r}")
             eligible = n - 1
@@ -341,7 +336,7 @@ class EnsembleResult:
         )
 
     def decider_mismatches(self) -> int:
-        return sum(s.mismatch for s in self.stats)
+        return int(np.count_nonzero(self.mismatch))
 
 
 def run_ensemble(
@@ -356,14 +351,15 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run the full trial ensemble; deterministic in master_seed alone.
 
-    With workers > 1 the trials run in a process pool, ``executor`` if
-    given (``sweep`` shares one across its cells), else one opened for this
-    call; the per-trial streams and the index-ordered fold keep the result
-    identical to a serial run.
+    The trials run in a process pool of ``_pool_size(workers, trials)``
+    processes when that exceeds 1: ``executor`` if given (``sweep`` shares
+    one across its cells), else one opened for this call.  The per-trial
+    streams and the index-ordered columns keep the result identical to a
+    serial run.
     """
     _check_arguments((model,), big_m, decider, trials, master_seed)
-    worker = partial(
-        _trial_stats,
+    row = partial(
+        _trial_row,
         params=params,
         model=model,
         master_seed=master_seed,
@@ -371,24 +367,18 @@ def run_ensemble(
         decider=decider,
         margin=default_interior_margin(params),
     )
-    if workers > 1:
-        chunk = max(1, trials // (workers * 8))
+    size = _pool_size(workers, trials)
+    if size > 1:
+        chunk = max(1, trials // (size * 8))
         if executor is None:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                stats = tuple(pool.map(worker, range(trials), chunksize=chunk))
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                rows = list(pool.map(row, range(trials), chunksize=chunk))
         else:
-            stats = tuple(executor.map(worker, range(trials), chunksize=chunk))
+            rows = list(executor.map(row, range(trials), chunksize=chunk))
     else:
-        stats = tuple(worker(t) for t in range(trials))
-    return EnsembleResult(
-        params=params,
-        model=model,
-        trials=trials,
-        master_seed=master_seed,
-        big_m=big_m,
-        decider=decider,
-        stats=stats,
-    )
+        rows = [row(t) for t in range(trials)]
+    columns = (np.array(column) for column in zip(*rows))
+    return EnsembleResult(params, model, trials, master_seed, big_m, decider, *columns)
 
 
 @dataclass(frozen=True)
@@ -415,10 +405,11 @@ def sweep(
 
     Rows follow point order, then model order.  Per-trial streams depend only
     on (master_seed, trial index), so duplicated points produce identical
-    rows and both models share placements at the same seed.  With workers > 1
-    every cell runs in one process pool.  Arguments are checked before any
-    cell runs; a cell that fails with a numerical or input error is recorded
-    in its row and the sweep continues.
+    rows and both models share placements at the same seed.  Every cell runs
+    in one process pool of ``_pool_size(workers, trials)`` processes, or
+    serially when that is 1.  Arguments are checked before any cell runs; a
+    cell that fails with a numerical or input error is recorded in its row
+    and the sweep continues.
     """
     points = list(points)
     if not points:
@@ -428,7 +419,8 @@ def sweep(
             raise TypeError(f"points must be ScenarioParams, got {type(params).__name__}")
     _check_arguments(models, big_m, decider, trials, master_seed)
     rows: list[SweepRow] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    size = _pool_size(workers, trials)
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         for params in points:
             for model in models:
                 try:

@@ -171,7 +171,7 @@ def test_fading_dominates_unit_disc_connectivity():
     )
 
 
-def test_eigen_and_unionfind_partition_counts_agree():
+def test_eigen_and_components_partition_counts_agree():
     rng = np.random.default_rng(606)
     disagreements = 0
     for _ in range(10_000):

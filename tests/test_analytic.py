@@ -53,6 +53,16 @@ def test_network_connectivity_unit_disc(make_params):
     assert p_network_ud(make_params(psi_db=-200.0)) > 1.0 - 1e-9
 
 
+def test_network_connectivity_unit_disc_below_double_precision(make_params):
+    # rho * lam ~ 1e-17: exp(-rho * lam) rounds to 1, yet 1 - e^-x = x holds
+    params = make_params(rho=0.001, psi_db=340.0)
+    x = params.rho * communication_range(params)
+    assert 1e-18 < x < 2.0**-53 and math.exp(-x) == 1.0
+    expected = (-math.expm1(-x)) ** (params.n_vehicles - 1)
+    assert p_network_ud(params) == pytest.approx(expected, rel=1e-12)
+    assert p_network_ud(make_params(rho=1e-5, psi_db=340.0)) == pytest.approx(-math.expm1(-x / 100))
+
+
 def test_mth_neighbour_unit_disc(make_params):
     params = make_params()
     assert p_sl_ud_mth(params, 1) == p_sl_ud_first(params)

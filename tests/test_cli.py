@@ -1,9 +1,10 @@
 import csv
 import hashlib
 import math
+import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetconn.cli import _parse_value_spec, main
@@ -68,12 +69,19 @@ def test_bad_range_spec_is_a_usage_error(tmp_path):
 
 @settings(max_examples=60, deadline=None)
 @given(start=st.floats(-1e3, 1e3), step=st.floats(1e-3, 1e3), span=st.floats(0.0, 200.0))
+@example(start=0.0, step=0.4, span=2.5)  # 0:1:0.4
 def test_range_spec_properties(start, step, span):
+    # the on-grid points start + k*step up to stop; the last one is clamped
+    # onto stop only when it overshoots by rounding
     stop = start + span * step
     values = _parse_value_spec(f"{start!r}:{stop!r}:{step!r}", "--rho")
+    tol = 1e-6 * step
     assert values[0] == start
     assert max(values) <= stop
-    assert len(values) == math.floor((stop - start) / step + 0.5) + 1
+    for k, value in enumerate(values):
+        on_grid = start + k * step
+        assert value == on_grid or (value == stop and on_grid - stop <= tol), (k, value)
+    assert start + len(values) * step > stop  # no on-grid point at or below stop left out
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -162,7 +170,8 @@ def test_simulate_deterministic_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_worker_count_does_not_change_output(tmp_path):
+def test_simulate_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     args = ["simulate", "--rho", "0.008", "--psi-db", "15", "--trials", "30",
             "--seed", "5", "--big-m", "2", "--model", "rayleigh"]
     out1 = tmp_path / "w1.csv"

@@ -140,7 +140,7 @@ def test_connectivity_decisions():
     assert is_connected(_complete(6))
 
 
-def test_eigen_matches_unionfind_on_random_graphs():
+def test_eigen_matches_components_on_random_graphs():
     rng = np.random.default_rng(2024)
     for _ in range(300):
         g = _random_graph(rng)

@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,11 @@ from vanetconn.montecarlo import (
     wilson_interval,
 )
 from vanetconn.scenario import placement_from_headways, sample_headways
+
+ARRAYS = ("connected", "mismatch", "linked_by_gap", "n_isolated_two_side",
+          "n_isolated_forward", "n_isolated_backward", "degree_mean_all",
+          "degree_mean_interior")
+
 
 def test_trial_with_vanishing_threshold_is_complete(make_params):
     params = make_params(rho=0.004, psi_db=-250.0)
@@ -260,17 +267,69 @@ def test_vehicle_connectivity_estimates(make_params):
         backward.vehicle_connectivity("three")
 
 
-def test_parallel_run_is_bit_identical(make_params):
+def test_parallel_run_is_bit_identical(monkeypatch, make_params):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     params = make_params(rho=0.008)
     serial = run_ensemble(params, RAYLEIGH, trials=60, master_seed=21, big_m=4)
     parallel = run_ensemble(params, RAYLEIGH, trials=60, master_seed=21, big_m=4, workers=3)
     assert serial.network_connectivity() == parallel.network_connectivity()
     assert serial.single_link(4) == parallel.single_link(4)
     assert serial.node_degree() == parallel.node_degree()
-    for a, b in zip(serial.stats, parallel.stats):
-        assert a.connected == b.connected
-        assert np.array_equal(a.linked_by_gap, b.linked_by_gap)
-        assert a.degree_mean_interior == b.degree_mean_interior
+    assert np.array_equal(serial.connected, parallel.connected)
+    assert np.array_equal(serial.linked_by_gap, parallel.linked_by_gap)
+    assert np.array_equal(serial.degree_mean_interior, parallel.degree_mean_interior)
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trials=st.integers(2, 80), model=st.sampled_from(MODELS), seed=st.integers(0, 2**16))
+@example(trials=80, model=RAYLEIGH, seed=3)  # 5 trials per chunk
+def test_per_trial_arrays_do_not_depend_on_workers(make_params, trials, model, seed):
+    params = make_params(rho=0.01, road_length=3_000.0)
+    with mock.patch.object(os, "cpu_count", lambda: 2):
+        serial = run_ensemble(params, model, trials, seed, big_m=3)
+        parallel = run_ensemble(params, model, trials, seed, big_m=3, workers=2)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+
+
+def test_ensemble_arrays_are_the_trials(make_params):
+    params = make_params(rho=0.012)
+    margin = montecarlo.default_interior_margin(params)
+    assert margin > 0
+    for model in MODELS:
+        result = run_ensemble(params, model, trials=6, master_seed=19, big_m=3, decider="both")
+        assert result.linked_by_gap.shape == (6, 3)
+        for name in ARRAYS:
+            column = getattr(result, name)
+            assert column.shape[0] == 6 and column.flags.c_contiguous, name
+        for t in range(6):
+            outcome = run_trial(params, model, trial_rng(19, t), big_m=3, decider="both")
+            degrees = outcome.degrees
+            assert result.connected[t] == outcome.connected
+            assert result.mismatch[t] == outcome.decider_mismatch
+            assert np.array_equal(result.linked_by_gap[t], outcome.linked_pairs_by_gap)
+            assert result.n_isolated_two_side[t] == outcome.n_isolated_two_side
+            assert result.n_isolated_forward[t] == outcome.n_isolated_forward
+            assert result.n_isolated_backward[t] == outcome.n_isolated_backward
+            assert result.degree_mean_all[t] == degrees.mean()
+            assert result.degree_mean_interior[t] == degrees[margin : degrees.size - margin].mean()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rho=st.floats(0.002, 0.05),
+    psi_db=st.floats(-5.0, 25.0),
+    ple=st.integers(2, 4),
+    model=st.sampled_from(MODELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_and_spectral_deciders_agree(make_params, rho, psi_db, ple, model, seed):
+    # up to 200 vehicles; windows from the whole road down to a few vehicles
+    params = make_params(rho=rho, road_length=4_000.0, psi_db=psi_db, ple=ple)
+    outcome = run_trial(params, model, trial_rng(seed, 0), decider="both")
+    assert outcome.decider_mismatch is False
 
 
 def test_decider_paths_agree(make_params):
@@ -286,6 +345,7 @@ def test_decider_paths_agree(make_params):
 
 
 def test_sweep_opens_one_pool_and_matches_serial(monkeypatch, make_params):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     opened = []
 
     class CountingPool(montecarlo.ProcessPoolExecutor):
@@ -301,10 +361,47 @@ def test_sweep_opens_one_pool_and_matches_serial(monkeypatch, make_params):
     assert opened == [2]
     for a, b in zip(serial, parallel, strict=True):
         assert (a.params, a.model) == (b.params, b.model)
-        for x, y in zip(a.result.stats, b.result.stats, strict=True):
-            assert x.connected == y.connected
-            assert np.array_equal(x.linked_by_gap, y.linked_by_gap)
-            assert x.degree_mean_all == y.degree_mean_all
+        assert np.array_equal(a.result.connected, b.result.connected)
+        assert np.array_equal(a.result.linked_by_gap, b.result.linked_by_gap)
+        assert np.array_equal(a.result.degree_mean_all, b.result.degree_mean_all)
+
+
+@pytest.mark.parametrize("cores, trials, size", [
+    (4, 3, 3),  # no more processes than trials
+    (2, 10, 2),  # no more processes than cores
+    (None, 10, None),  # unknown core count: serial
+    (8, 1, None),  # one trial: serial
+])
+def test_pool_is_bounded_by_trials_and_cores(monkeypatch, make_params, cores, trials, size):
+    opened = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    params = make_params(rho=0.01, road_length=2_000.0)
+    expected = [] if size is None else [size]
+    serial = run_ensemble(params, RAYLEIGH, trials, 4, big_m=2)
+    pooled = run_ensemble(params, RAYLEIGH, trials, 4, big_m=2, workers=5000)
+    assert opened == expected
+    rows = sweep([params], MODELS, trials, 4, big_m=2, workers=5000)
+    assert opened == expected * 2
+    for name in ARRAYS:
+        assert np.array_equal(getattr(serial, name), getattr(pooled, name)), name
+        assert np.array_equal(getattr(serial, name), getattr(rows[1].result, name)), name
 
 
 def test_sweep_rows(make_params):
