@@ -8,6 +8,7 @@ statistical cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -89,9 +90,17 @@ def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
     ((50+2m)/rho for the gap density, lam*(50+2m)^(1/alpha) for the channel
     factor), so the cutoff takes whichever is tighter; on near-empty roads
     only the channel scale keeps the interval comparable to the integrand's
-    support.
+    support.  The quadrature runs once per (params, m): the vehicle
+    connectivity products reuse its value.
     """
-    m = _require_neighbor_index(m)
+    return _p_sl_rayleigh(params, _require_neighbor_index(m))
+
+
+# An analytic point reads each p_sl_rayleigh(params, m) three times: in its
+# own row and in both vehicle-connectivity products.  256 entries hold every
+# m of a point up to big_m = 256; a larger span only recomputes.
+@functools.lru_cache(maxsize=256)
+def _p_sl_rayleigh(params: ScenarioParams, m: int) -> float:
     rho = params.rho
     alpha = params.ple
     c = _snr_decay_coefficient(params)
@@ -121,6 +130,26 @@ def _kahan_sum(values) -> tuple[float, float]:
     return total, abs_total
 
 
+# Every m of one grid point sums the same incomplete gammas at the same
+# precisions, so they are kept across calls; a miss only recomputes.
+@functools.lru_cache(maxsize=256)
+def _upper_gamma_half(k: int, z: float, dps: int) -> mpmath.mpf:
+    """Gamma(k/2, z) at dps digits, for k >= 1.
+
+    Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) and Gamma(1, z) = e^-z seed the
+    upward recurrence Gamma(s+1, z) = s Gamma(s, z) + z^s e^-z (DLMF 8.8.2),
+    whose terms are all positive, so it loses no digits.
+    """
+    with mpmath.workdps(dps):
+        zm = mpmath.mpf(z)
+        if k == 1:
+            return mpmath.sqrt(mpmath.pi) * mpmath.erfc(mpmath.sqrt(zm))
+        if k == 2:
+            return mpmath.exp(-zm)
+        s = mpmath.mpf(k - 2) / 2
+        return s * _upper_gamma_half(k - 2, z, dps) + zm**s * _upper_gamma_half(2, z, dps)
+
+
 def _closed_form_mp(m: int, a: float, z: float) -> float:
     # The alternating sum loses roughly as many digits as the decades between
     # its largest term and its total, so evaluate at increasing precision
@@ -129,15 +158,17 @@ def _closed_form_mp(m: int, a: float, z: float) -> float:
     dps = 40
     while dps <= 640:
         with mpmath.workdps(dps):
-            half_a = mpmath.mpf(a) / 2
-            total = mpmath.fsum(
-                mpmath.binomial(m - 1, k)
-                * (-half_a) ** k
-                * mpmath.gammainc(mpmath.mpf(m - k) / 2, a=z)
-                for k in range(m)
-            )
+            # shapes in increasing order, so each recursion stops one step down
+            gammas = [_upper_gamma_half(j, z, dps) for j in range(1, m + 1)]
+            step = -mpmath.mpf(a) / 2
+            power = mpmath.mpf(1)
+            terms = []
+            for k in range(m):
+                terms.append(math.comb(m - 1, k) * power * gammas[m - k - 1])
+                power *= step
+            total = mpmath.fsum(terms)
             value = float(
-                mpmath.mpf(a) ** m * mpmath.exp(z) * total / (2 * mpmath.factorial(m - 1))
+                mpmath.mpf(a) ** m * mpmath.exp(z) * total / (2 * math.factorial(m - 1))
             )
         if prev is not None and abs(value - prev) <= 1e-13 * max(abs(value), 1e-300):
             return value
@@ -159,7 +190,9 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
     compensated; when the measured cancellation is too deep for double
     precision, or a^2/4 is too large for its terms to be represented, the
     sum is evaluated in arbitrary precision instead, because the leading
-    asymptotic orders of its terms cancel exactly.
+    asymptotic orders of its terms cancel exactly.  There every
+    Gamma(k/2, a^2/4) comes from one erfc and one exp by the upward
+    recurrence, and is shared by all m at the same point and precision.
     """
     m = _require_neighbor_index(m)
     if params.ple != 2:

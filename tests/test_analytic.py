@@ -1,8 +1,11 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vanetconn import analytic
 from vanetconn.analytic import (
     DivergentMeanError,
     avg_node_degree,
@@ -130,6 +133,68 @@ def test_closed_form_requirements(make_params):
             c = p_sl_rayleigh_closed_alpha2(params, m)
             assert abs(c - q) <= 1e-8 * q, f"m={m}: closed={c!r} quad={q!r}"
     assert p_sl_rayleigh_closed_alpha2(make_params(rho=1e-9), 3) < 1e-6
+
+
+def _closed_form_mp_gammainc(m, a, z):
+    # the high-precision sum as it was first written, with each incomplete
+    # gamma from mpmath.gammainc: the reference the recurrence must reproduce
+    prev = None
+    dps = 40
+    while dps <= 640:
+        with mpmath.workdps(dps):
+            half_a = mpmath.mpf(a) / 2
+            total = mpmath.fsum(
+                mpmath.binomial(m - 1, k)
+                * (-half_a) ** k
+                * mpmath.gammainc(mpmath.mpf(m - k) / 2, a=z)
+                for k in range(m)
+            )
+            value = float(
+                mpmath.mpf(a) ** m * mpmath.exp(z) * total / (2 * mpmath.factorial(m - 1))
+            )
+        if prev is not None and abs(value - prev) <= 1e-13 * max(abs(value), 1e-300):
+            return value
+        prev = value
+        dps *= 2
+    raise ArithmeticError("alternating sum did not stabilise at high precision")
+
+
+# log-spaced over [1e-3, 200], plus three values with a^2/4 past the double
+# precision guard of 700 (about 700, 1250 and 9025)
+_ESCALATION_A = [float(a) for a in np.logspace(-3, math.log10(200.0), 13)] + [52.9, 70.7, 190.0]
+
+
+@pytest.mark.parametrize("a", _ESCALATION_A)
+def test_closed_form_mp_is_bit_identical_to_gammainc_sum(a):
+    z = 0.25 * a * a
+    for m in range(1, 13):
+        assert analytic._closed_form_mp(m, a, z) == _closed_form_mp_gammainc(m, a, z), f"m={m}"
+
+
+@pytest.mark.parametrize("z", [2.5e-7, 0.3, 4.0, 90.0, 700.0, 1250.0, 9025.0])
+def test_upper_gamma_half_table_matches_gammainc(z):
+    with mpmath.workdps(50):
+        for k in range(1, 13):
+            expected = mpmath.gammainc(mpmath.mpf(k) / 2, a=z)
+            got = analytic._upper_gamma_half(k, z, 50)
+            assert abs(got - expected) <= mpmath.mpf(10) ** -45 * expected, f"k={k}"
+
+
+def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params):
+    # the uncached route: every p_sl_rayleigh value from its own quadrature
+    def reference(params, big_m):
+        prod = 1.0
+        for m in range(1, big_m + 1):
+            prod *= max(0.0, 1.0 - analytic._p_sl_rayleigh.__wrapped__(params, m))
+        return 1.0 - prod, 1.0 - prod**2
+
+    first, second = make_params(rho=0.011, psi_db=7.0), make_params(rho=0.023, psi_db=7.0)
+    expected = {params: reference(params, 10) for params in (first, second)}
+    analytic._p_sl_rayleigh.cache_clear()
+    for params in (first, first, second, first, second, second):
+        got = (p_vehicle_one_side_rayleigh(params, 10), p_vehicle_rayleigh(params, 10))
+        assert got == expected[params]
+    assert analytic._p_sl_rayleigh.cache_info().misses == 20
 
 
 def test_average_snr_reference_value(make_params):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vanetconn import analytic
 from vanetconn.cli import _parse_value_spec, main
 
 
@@ -144,6 +145,44 @@ def test_simulate_matches_golden_digest(tmp_path, decider):
                      "--trials", "20", "--seed", "7", "--big-m", "3", "--decider", decider)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE[decider]
+
+
+# SHA-256 of the CSV bytes of analytic grids, recorded while every
+# high-precision incomplete gamma still came from mpmath.gammainc and every
+# vehicle-connectivity product ran its own quadratures.
+GOLDEN_ANALYTIC = {
+    "--rho 0.002:0.03:0.002 --psi-db 0:20:2":
+        "f5ecaaa3e2e313ea2cbd9a02bd5ad5ec715a2149c06db7a0277adb2e61cc834a",
+    "--rho 0.026:0.03:0.002 --psi-db 0:4:2":
+        "526cdb14eecf57c466a5ceb4ff3d55296e7c027a87f63c732c9f313d69ab9ce6",
+    "--rho 0.006,0.019,0.03 --psi-db 0,15 --big-m 40":
+        "7f3c3971150669ff27747a52ba96c48c31ad96a36406e1e279e692cf461b3853",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GOLDEN_ANALYTIC))
+def test_analytic_matches_golden_digest(tmp_path, grid):
+    code, out = _run(tmp_path, "analytic", *grid.split())
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ANALYTIC[grid]
+
+
+def test_analytic_point_runs_one_quadrature_per_neighbour(tmp_path, monkeypatch):
+    # big_m link probabilities plus the node degree; the vehicle-connectivity
+    # rows reuse the link probabilities
+    calls = []
+    integrate = analytic.integrate_semi_infinite
+
+    def counting(f, upper):
+        calls.append(upper)
+        return integrate(f, upper)
+
+    monkeypatch.setattr(analytic, "integrate_semi_infinite", counting)
+    analytic._p_sl_rayleigh.cache_clear()
+    code, _ = _run(tmp_path, "analytic", "--rho", "0.019", "--psi-db", "15",
+                   "--model", "rayleigh", "--big-m", "10")
+    assert code == 0
+    assert len(calls) == 10 + 1
 
 
 def test_failed_cell_is_an_error_row_and_the_grid_continues(tmp_path):
