@@ -14,7 +14,7 @@ import math
 import mpmath
 
 from . import channel, scenario
-from .numerics import integrate_semi_infinite, log_factorial, upper_incomplete_gamma
+from .numerics import integrate_semi_infinite, upper_incomplete_gamma
 from .scenario import ScenarioParams
 
 __all__ = [
@@ -105,7 +105,7 @@ def _p_sl_rayleigh(params: ScenarioParams, m: int) -> float:
     alpha = params.ple
     c = _snr_decay_coefficient(params)
     lam = communication_range(params)
-    log_norm = m * math.log(rho) - log_factorial(m - 1)
+    log_norm = m * math.log(rho) - math.lgamma(m)
 
     def integrand(x: float) -> float:
         if x <= 0.0:

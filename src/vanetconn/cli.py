@@ -12,6 +12,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import nullcontext
 
 from . import analytic, channel, montecarlo
 from .analytic import DivergentMeanError
@@ -255,7 +256,7 @@ def _simulate_rows(args, points):
 
         net = result.network_connectivity()
         yield emit("network_connectivity", net.estimate, net.ci_lo, net.ci_hi)
-        one = result.vehicle_connectivity(side="one", direction="forward")
+        one = result.vehicle_connectivity(side="one")
         yield emit("vehicle_connectivity_one_side", one.estimate, one.ci_lo, one.ci_hi)
         two = result.vehicle_connectivity(side="two")
         yield emit("vehicle_connectivity_two_side", two.estimate, two.ci_lo, two.ci_hi)
@@ -267,18 +268,11 @@ def _simulate_rows(args, points):
             yield emit(f"single_link_m{m}", link.estimate, link.ci_lo, link.ci_hi)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    def write(handle):
-        writer = csv.DictWriter(handle, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-    if path == "-":
-        write(sys.stdout)
-    else:
-        with open(path, "w", newline="") as handle:
-            write(handle)
+def _write_csv(handle, header: list[str], rows) -> None:
+    writer = csv.DictWriter(handle, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row)
 
 
 def main(argv=None) -> int:
@@ -295,13 +289,18 @@ def main(argv=None) -> int:
         flag = _FLAG_OF_FIELD.get(str(exc).split(" ", 1)[0])
         parser.error(f"argument {flag}: {exc}" if flag else f"invalid scenario: {exc}")
     try:
-        if args.command == "analytic":
-            _write_csv(args.out, ANALYTIC_HEADER, _analytic_rows(args, points))
-        else:
-            _write_csv(args.out, SIMULATE_HEADER, _simulate_rows(args, points))
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"vanetconn: {exc}", file=sys.stderr)
-        return 1
+        out = nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="")
+    except OSError as exc:
+        parser.error(f"argument --out: {exc}")
+    with out as handle:
+        try:
+            if args.command == "analytic":
+                _write_csv(handle, ANALYTIC_HEADER, _analytic_rows(args, points))
+            else:
+                _write_csv(handle, SIMULATE_HEADER, _simulate_rows(args, points))
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            print(f"vanetconn: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -55,24 +55,18 @@ class TrialOutcome:
     linked_pairs_by_gap: np.ndarray  # count of linked (i, i+m) pairs, m = 1..big_m
     n_isolated_two_side: int  # vehicles with no linked neighbour at all
     n_isolated_forward: int  # vehicles (but the last) with no forward link
-    n_isolated_backward: int  # vehicles (but the first) with no backward link
-    decider_mismatch: bool | None  # spectral vs exact, only when both ran
+    decider_mismatch: bool  # the spectral test disagreed with the exact one (decider "both")
 
 
 @dataclass(frozen=True)
 class EnsembleEstimate:
     """Point estimate of a probability with its 95% confidence interval."""
 
-    trials: int
-    successes: int
     estimate: float
     ci_lo: float
     ci_hi: float
-    master_seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not (self.ci_lo <= self.estimate <= self.ci_hi):
             raise ValueError("interval must bracket the estimate")
         if not (0.0 <= self.estimate <= 1.0):
@@ -86,23 +80,21 @@ class EnsembleEstimate:
 class MeanEstimate:
     """Sample mean with its standard error across trials."""
 
-    trials: int
     mean: float
     std_error: float
-    master_seed: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval; well behaved near 0/1 and at small trial counts."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # the score interval always contains p; keep that exact under roundoff
     return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
@@ -179,10 +171,9 @@ def run_trial(
 
     degrees = edges.degrees
     forward_links = np.bincount(edges.i, minlength=n)
-    backward_links = degrees - forward_links
     linked = np.bincount(edges.j - edges.i, minlength=big_m + 1)[1 : big_m + 1]
 
-    mismatch: bool | None = None
+    mismatch = False
     if decider == "eigen":
         connected = graph.is_connected(edges)
     else:
@@ -201,7 +192,6 @@ def run_trial(
         linked_pairs_by_gap=linked,
         n_isolated_two_side=int(np.count_nonzero(degrees == 0)),
         n_isolated_forward=int(np.count_nonzero(forward_links[:-1] == 0)),
-        n_isolated_backward=int(np.count_nonzero(backward_links[1:] == 0)),
         decider_mismatch=mismatch,
     )
 
@@ -234,12 +224,10 @@ def _trial_row(
     interior = degrees[margin : degrees.size - margin] if margin > 0 else degrees
     return (
         outcome.connected,
-        bool(outcome.decider_mismatch),
+        outcome.decider_mismatch,
         outcome.linked_pairs_by_gap,
         outcome.n_isolated_two_side,
         outcome.n_isolated_forward,
-        outcome.n_isolated_backward,
-        float(degrees.mean()),
         float(interior.mean()),
     )
 
@@ -259,21 +247,12 @@ class EnsembleResult:
     linked_by_gap: np.ndarray  # int, (trials, big_m): linked (i, i+m) pairs, m = 1..big_m
     n_isolated_two_side: np.ndarray  # int, (trials,)
     n_isolated_forward: np.ndarray  # int, (trials,)
-    n_isolated_backward: np.ndarray  # int, (trials,)
-    degree_mean_all: np.ndarray  # float, (trials,)
     degree_mean_interior: np.ndarray  # float, (trials,): inside default_interior_margin
 
     def network_connectivity(self) -> EnsembleEstimate:
         successes = int(np.count_nonzero(self.connected))
         lo, hi = wilson_interval(successes, self.trials)
-        return EnsembleEstimate(
-            trials=self.trials,
-            successes=successes,
-            estimate=successes / self.trials,
-            ci_lo=lo,
-            ci_hi=hi,
-            master_seed=self.master_seed,
-        )
+        return EnsembleEstimate(successes / self.trials, lo, hi)
 
     def single_link(self, m: int) -> EnsembleEstimate:
         if not 1 <= m <= self.big_m:
@@ -282,58 +261,30 @@ class EnsembleResult:
         if eligible < 1:
             raise ValueError(f"no (i, i+{m}) pairs exist for N={self.params.n_vehicles}")
         counts = self.linked_by_gap[:, m - 1].astype(float)
-        mean, lo, hi = _cluster_interval(counts / eligible)
-        return EnsembleEstimate(
-            trials=self.trials,
-            successes=int(counts.sum()),
-            estimate=mean,
-            ci_lo=lo,
-            ci_hi=hi,
-            master_seed=self.master_seed,
-        )
+        return EnsembleEstimate(*_cluster_interval(counts / eligible))
 
-    def node_degree(self, interior: bool = True) -> MeanEstimate:
-        """Mean degree, by default over the vehicles inside ``default_interior_margin``.
+    def node_degree(self) -> MeanEstimate:
+        """Mean degree over the vehicles inside ``default_interior_margin``.
 
         Vehicles near the segment ends miss neighbours on one side, which
-        biases the plain average low against the infinite-road expectation;
-        ``interior=False`` gives that plain average over all vehicles.
+        would bias the average low against the infinite-road expectation.
         """
-        means = self.degree_mean_interior if interior else self.degree_mean_all
+        means = self.degree_mean_interior
         se = float(means.std(ddof=1)) / math.sqrt(self.trials) if self.trials > 1 else 0.0
-        return MeanEstimate(
-            trials=self.trials,
-            mean=float(means.mean()),
-            std_error=se,
-            master_seed=self.master_seed,
-        )
+        return MeanEstimate(float(means.mean()), se)
 
-    def vehicle_connectivity(self, side: str = "two", direction: str = "forward") -> EnsembleEstimate:
+    def vehicle_connectivity(self, side: str = "two") -> EnsembleEstimate:
+        """Share of vehicles with a linked neighbour: on either side, or ahead (``side="one"``)."""
         n = self.params.n_vehicles
         if side == "two":
             isolated = self.n_isolated_two_side.astype(float)
             eligible = n
         elif side == "one":
-            if direction == "forward":
-                isolated = self.n_isolated_forward.astype(float)
-            elif direction == "backward":
-                isolated = self.n_isolated_backward.astype(float)
-            else:
-                raise ValueError(f"direction must be forward or backward, got {direction!r}")
+            isolated = self.n_isolated_forward.astype(float)
             eligible = n - 1
         else:
             raise ValueError(f"side must be 'one' or 'two', got {side!r}")
-        fractions = 1.0 - isolated / eligible
-        mean, lo, hi = _cluster_interval(fractions)
-        connected_total = int(round(fractions.sum() * eligible))
-        return EnsembleEstimate(
-            trials=self.trials,
-            successes=connected_total,
-            estimate=mean,
-            ci_lo=lo,
-            ci_hi=hi,
-            master_seed=self.master_seed,
-        )
+        return EnsembleEstimate(*_cluster_interval(1.0 - isolated / eligible))
 
     def decider_mismatches(self) -> int:
         return int(np.count_nonzero(self.mismatch))

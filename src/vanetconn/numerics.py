@@ -106,10 +106,3 @@ def _upper_gamma_contfrac(s: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             return math.exp(-x + s * math.log(x)) * h
     raise QuadratureError(f"incomplete gamma continued fraction stalled at s={s}, x={x}")
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) via log-gamma; exact against integer factorial for n <= 20."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"factorial argument must be a nonnegative integer, got {n!r}")
-    return math.lgamma(n + 1.0)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkBudget
-from .numerics import log_factorial
 
 __all__ = [
     "ScenarioParams",
@@ -141,7 +140,7 @@ def erlang_pdf(x, m: int, rho: float):
     m = int(m)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr)
-    log_norm = m * math.log(rho) - log_factorial(m - 1)
+    log_norm = m * math.log(rho) - math.lgamma(m)
     pos = x_arr > 0
     with np.errstate(divide="ignore"):
         out[pos] = np.exp(log_norm + (m - 1) * np.log(x_arr[pos]) - rho * x_arr[pos])
@@ -165,5 +164,5 @@ def erlang_cdf(x: float, m: int, rho: float) -> float:
     log_t = math.log(t)
     total = 0.0
     for k in range(m):
-        total += math.exp(k * log_t - t - log_factorial(k))
+        total += math.exp(k * log_t - t - math.lgamma(k + 1.0))
     return max(0.0, 1.0 - total)

@@ -68,6 +68,19 @@ def test_bad_range_spec_is_a_usage_error(tmp_path):
     assert excinfo.value.code != 0
 
 
+@pytest.mark.parametrize("rho, where, flag", [
+    ("0.019", "missing_dir", "--out"),
+    ("0.019", "a_directory", "--out"),
+    ("0", "missing_dir", "--rho"),  # the grid is validated first
+])
+def test_unopenable_out_is_a_usage_error(tmp_path, capsys, rho, where, flag):
+    out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analytic", "--rho", rho, "--psi-db", "15", "--big-m", "1", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(start=st.floats(-1e3, 1e3), step=st.floats(1e-3, 1e3), span=st.floats(0.0, 200.0))
 @example(start=0.0, step=0.4, span=2.5)  # 0:1:0.4

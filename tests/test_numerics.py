@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from vanetconn.numerics import (
     QuadratureError,
     integrate_semi_infinite,
-    log_factorial,
     upper_incomplete_gamma,
 )
 
@@ -82,22 +81,3 @@ def test_upper_gamma_domain():
         upper_incomplete_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         upper_incomplete_gamma(1.0, -0.1)
-
-
-def test_log_factorial_small_exact():
-    assert log_factorial(0) == 0.0
-    assert abs(log_factorial(5) - math.log(120.0)) < 1e-14
-    for n in range(21):
-        assert abs(log_factorial(n) - math.log(math.factorial(n))) < 1e-12
-
-
-def test_log_factorial_large_finite():
-    summed = sum(math.log(k) for k in range(1, 171))
-    value = log_factorial(170)
-    assert math.isfinite(value)
-    assert abs(value - summed) < 1e-9 * summed
-
-
-def test_log_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        log_factorial(-1)
