@@ -11,8 +11,6 @@ from __future__ import annotations
 import functools
 import math
 
-import mpmath
-
 from . import channel, scenario
 from .numerics import integrate_semi_infinite, upper_incomplete_gamma
 from .scenario import ScenarioParams
@@ -42,6 +40,14 @@ _CANCELLATION_ESCALATE = 2e5
 
 class DivergentMeanError(ValueError):
     """The requested average SNR is infinite for this neighbour index."""
+
+
+@functools.cache
+def _mpmath():
+    """The ``mpmath`` module, imported on first use by the closed form's escalation."""
+    import mpmath
+
+    return mpmath
 
 
 def _require_neighbor_index(m) -> int:
@@ -133,13 +139,15 @@ def _kahan_sum(values) -> tuple[float, float]:
 # Every m of one grid point sums the same incomplete gammas at the same
 # precisions, so they are kept across calls; a miss only recomputes.
 @functools.lru_cache(maxsize=256)
-def _upper_gamma_half(k: int, z: float, dps: int) -> mpmath.mpf:
+def _upper_gamma_half(k: int, z: float, dps: int):
     """Gamma(k/2, z) at dps digits, for k >= 1.
 
     Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) and Gamma(1, z) = e^-z seed the
     upward recurrence Gamma(s+1, z) = s Gamma(s, z) + z^s e^-z (DLMF 8.8.2),
-    whose terms are all positive, so it loses no digits.
+    whose terms are all positive, so it loses no digits.  Returns an
+    ``mpmath.mpf``.
     """
+    mpmath = _mpmath()
     with mpmath.workdps(dps):
         zm = mpmath.mpf(z)
         if k == 1:
@@ -154,6 +162,7 @@ def _closed_form_mp(m: int, a: float, z: float) -> float:
     # The alternating sum loses roughly as many digits as the decades between
     # its largest term and its total, so evaluate at increasing precision
     # until two consecutive results agree.
+    mpmath = _mpmath()
     prev = None
     dps = 40
     while dps <= 640:

@@ -14,7 +14,7 @@ import math
 import sys
 from contextlib import nullcontext
 
-from . import analytic, channel, montecarlo
+from . import analytic, channel, graph, montecarlo, numerics
 from .analytic import DivergentMeanError
 from .scenario import ScenarioParams
 
@@ -49,12 +49,32 @@ _FLAG_OF_FIELD = {
 }
 
 
+# the most points one range may list; its count is checked before any is built
+_MAX_RANGE_POINTS = 10**6
+# the numerical backend each command computes with, imported while its
+# arguments are parsed so that no import lands inside the computation
+_BACKENDS = {
+    "analytic": (numerics._quad, analytic._mpmath),
+    "simulate": (graph._csgraph,),
+}
+
+
+class _LoadingSubcommand(argparse._SubParsersAction):
+    """Dispatches to a subcommand's parser, then imports that command's backend."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        for load in _BACKENDS[values[0]]:
+            load()
+
+
 def _parse_value_spec(text: str, flag: str) -> list[float]:
     """Parse '0.01', '0.01,0.02' or 'start:stop:step'.
 
     A range lists start + k*step for every k that stays at or below stop,
     within 1e-9 of a step for rounding; a point that overshoots stop by that
-    rounding is clamped onto it.
+    rounding is clamped onto it.  Its start, stop and step must be finite,
+    and it may list at most ``_MAX_RANGE_POINTS`` points.
     """
     text = text.strip()
     if not text:
@@ -67,9 +87,16 @@ def _parse_value_spec(text: str, flag: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{flag}: {exc}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise argparse.ArgumentTypeError(f"{flag}: range start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"{flag}: need step > 0 and stop >= start")
-        count = math.floor((stop - start) / step + 1e-9) + 1
+        # a span of finite bounds can still overflow to inf
+        steps = (stop - start) / step + 1e-9
+        if not steps < _MAX_RANGE_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"{flag}: range lists more than {_MAX_RANGE_POINTS} points")
+        count = math.floor(steps) + 1
         return [min(start + k * step, stop) for k in range(count)]
     try:
         return [float(p) for p in text.split(",") if p.strip()]
@@ -123,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D vehicular network connectivity under unit-disc and "
                     "Rayleigh-fading channels",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_LoadingSubcommand)
 
     sub.add_parser("analytic", parents=[common],
                    help="closed-form metrics on a (rho, psi) grid")

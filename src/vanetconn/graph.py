@@ -12,7 +12,7 @@ tolerance for "zero", and serves as the cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -83,13 +83,23 @@ def edges_from_adjacency(adjacency: np.ndarray) -> EdgeList:
     return EdgeList(n=a.shape[0], i=i, j=j)
 
 
-def count_components(g: EdgeList) -> int:
-    """Exact number of connected components."""
-    # imported here: scipy.sparse.csgraph costs import time that only
-    # ensemble runs need
+@cache
+def _csgraph():
+    """``scipy.sparse.coo_array`` and ``connected_components``, imported on first use.
+
+    Only the ensemble counts components, so the closed forms never pay for
+    ``scipy.sparse.csgraph``.  A process pool inherits the import when the
+    parent calls this before forking.
+    """
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
+    return coo_array, connected_components
+
+
+def count_components(g: EdgeList) -> int:
+    """Exact number of connected components."""
+    coo_array, connected_components = _csgraph()
     adjacency = coo_array((np.ones(g.i.size, dtype=np.int8), (g.i, g.j)), shape=(g.n, g.n))
     return int(connected_components(adjacency, directed=False, return_labels=False))
 

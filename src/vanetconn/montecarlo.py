@@ -131,6 +131,16 @@ def _pool_size(workers: int, trials: int) -> int:
     return min(workers, trials, os.cpu_count() or 1)
 
 
+def _process_pool(size: int) -> Executor:
+    """A pool of ``size`` processes, opened once csgraph is imported.
+
+    Forked workers inherit the import; otherwise each would pay it inside
+    its first trial.
+    """
+    graph._csgraph()
+    return ProcessPoolExecutor(max_workers=size)
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Stream for one trial, derived only from (master_seed, trial index)."""
     return np.random.default_rng([master_seed, trial_index])
@@ -322,7 +332,7 @@ def run_ensemble(
     if size > 1:
         chunk = max(1, trials // (size * 8))
         if executor is None:
-            with ProcessPoolExecutor(max_workers=size) as pool:
+            with _process_pool(size) as pool:
                 rows = list(pool.map(row, range(trials), chunksize=chunk))
         else:
             rows = list(executor.map(row, range(trials), chunksize=chunk))
@@ -371,7 +381,7 @@ def sweep(
     _check_arguments(models, big_m, decider, trials, master_seed)
     rows: list[SweepRow] = []
     size = _pool_size(workers, trials)
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
+    with _process_pool(size) if size > 1 else nullcontext() as pool:
         for params in points:
             for model in models:
                 try:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
-
-from scipy.integrate import quad
 
 _MAX_SERIES_ITER = 500
 _MAX_CF_ITER = 500
@@ -21,6 +20,18 @@ class QuadratureError(RuntimeError):
     """Quadrature did not converge to the requested tolerance."""
 
 
+@functools.cache
+def _quad():
+    """``scipy.integrate.quad``, imported on first use.
+
+    Only the closed forms integrate; the ensemble never does, so importing
+    this package does not pay for ``scipy.integrate``.
+    """
+    from scipy.integrate import quad
+
+    return quad
+
+
 def integrate_semi_infinite(f: Callable[[float], float], upper: float) -> tuple[float, float]:
     """Integrate a decaying integrand over [0, inf).
 
@@ -32,7 +43,7 @@ def integrate_semi_infinite(f: Callable[[float], float], upper: float) -> tuple[
     the adaptive rule cannot certify relative 1e-10 or absolute 1e-14 within
     200 subdivisions; it never returns a silently truncated result.
     """
-    result = quad(
+    result = _quad()(
         f,
         0.0,
         upper,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import math
@@ -66,6 +67,28 @@ def test_bad_range_spec_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["analytic", "--rho", "0.1:0.2", "--out", str(tmp_path / "x.csv")])
     assert excinfo.value.code != 0
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--rho", "0:inf:1"),
+    ("--rho", "nan:1:0.1"),
+    ("--psi-db", "0:10:inf"),
+    ("--rho", "0:1:1e-12"),  # 10^12 points: refused before any list is built
+    ("--rho", "-1e308:1e308:1"),  # finite bounds whose span overflows
+])
+def test_unbounded_range_spec_is_a_usage_error(tmp_path, capsys, flag, spec):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analytic", f"{flag}={spec}", "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_range_spec_point_ceiling(monkeypatch):
+    monkeypatch.setattr("vanetconn.cli._MAX_RANGE_POINTS", 10)
+    assert len(_parse_value_spec("0:9:1", "--rho")) == 10
+    with pytest.raises(argparse.ArgumentTypeError, match="more than 10 points"):
+        _parse_value_spec("0:10:1", "--rho")
 
 
 @pytest.mark.parametrize("rho, where, flag", [
