@@ -34,20 +34,17 @@ __all__ = [
 # the subnormal doubles (from z = 708) and underflow to zero at z = 745
 _EXP_GUARD = 700.0
 # beyond this measured cancellation a compensated double-precision sum cannot
-# certify ~1e-9 relative accuracy, so the sum is redone in higher precision
+# certify ~1e-9 relative accuracy, so the closed form comes from its recurrence
 _CANCELLATION_ESCALATE = 2e5
+# below this a the closed form's recurrence runs forward; above it, backward
+_FORWARD_BELOW = 0.5
+# the rounding of z = a*a/4 is a first-order effect while its square, the
+# second-order term, stays below double precision (a up to about 2e4)
+_FIRST_ORDER_DELTA = 2.0**-26
 
 
 class DivergentMeanError(ValueError):
     """The requested average SNR is infinite for this neighbour index."""
-
-
-@functools.cache
-def _mpmath():
-    """The ``mpmath`` module, imported on first use by the closed form's escalation."""
-    import mpmath
-
-    return mpmath
 
 
 def _require_neighbor_index(m) -> int:
@@ -136,54 +133,44 @@ def _kahan_sum(values) -> tuple[float, float]:
     return total, abs_total
 
 
-# Every m of one grid point sums the same incomplete gammas at the same
-# precisions, so they are kept across calls; a miss only recomputes.
-@functools.lru_cache(maxsize=256)
-def _upper_gamma_half(k: int, z: float, dps: int):
-    """Gamma(k/2, z) at dps digits, for k >= 1.
-
-    Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) and Gamma(1, z) = e^-z seed the
-    upward recurrence Gamma(s+1, z) = s Gamma(s, z) + z^s e^-z (DLMF 8.8.2),
-    whose terms are all positive, so it loses no digits.  Returns an
-    ``mpmath.mpf``.
-    """
-    mpmath = _mpmath()
-    with mpmath.workdps(dps):
-        zm = mpmath.mpf(z)
-        if k == 1:
-            return mpmath.sqrt(mpmath.pi) * mpmath.erfc(mpmath.sqrt(zm))
-        if k == 2:
-            return mpmath.exp(-zm)
-        s = mpmath.mpf(k - 2) / 2
-        return s * _upper_gamma_half(k - 2, z, dps) + zm**s * _upper_gamma_half(2, z, dps)
-
-
 def _closed_form_mp(m: int, a: float, z: float) -> float:
-    # The alternating sum loses roughly as many digits as the decades between
-    # its largest term and its total, so evaluate at increasing precision
-    # until two consecutive results agree.
-    mpmath = _mpmath()
-    prev = None
-    dps = 40
-    while dps <= 640:
-        with mpmath.workdps(dps):
-            # shapes in increasing order, so each recursion stops one step down
-            gammas = [_upper_gamma_half(j, z, dps) for j in range(1, m + 1)]
-            step = -mpmath.mpf(a) / 2
-            power = mpmath.mpf(1)
-            terms = []
-            for k in range(m):
-                terms.append(math.comb(m - 1, k) * power * gammas[m - k - 1])
-                power *= step
-            total = mpmath.fsum(terms)
-            value = float(
-                mpmath.mpf(a) ** m * mpmath.exp(z) * total / (2 * math.factorial(m - 1))
-            )
-        if prev is not None and abs(value - prev) <= 1e-13 * max(abs(value), 1e-300):
-            return value
-        prev = value
-        dps *= 2
-    raise ArithmeticError("alternating sum did not stabilise at high precision")
+    """P(m) by the recurrence P(k+1) = (P(k-1) - P(k)) a^2 / (2k), cancellation-free.
+
+    P(0) = 1 and P(1) = (a sqrt(pi) / 2) e^(a^2/4) erfc(a/2) (DLMF 12-13).
+    For small a each P(k) is about a times the one before, so the recurrence
+    runs forward without loss.  Otherwise the ratios r(k) = P(k)/P(k-1) =
+    1 / (1 + (2k/a^2) r(k+1)) run backward from r = 0 deep enough that the
+    start no longer shows, and P(m) is their product.
+
+    The double-precision sum evaluates the closed form at the double z, not
+    at a^2/4; adding the first-order term in z - a^2/4 gives the value at
+    that same z, so both routes compute one function.  With z exact, the
+    extra part of dP/dz is (1 - a/(2 sqrt(z)))^(m-1): 0 for m >= 2 and 1 for
+    m = 1.  The benchmark's tracer counts the calls of this function as the
+    closed form's escalations.
+    """
+    if math.isinf(a) or math.isinf(z):
+        return 1.0
+    if a < _FORWARD_BELOW:
+        prev = 1.0
+        value = 0.5 * a * math.sqrt(math.pi) * math.exp(0.25 * a * a) * math.erfc(0.5 * a)
+        for k in range(1, m):
+            prev, value = value, (prev - value) * a * a / (2 * k)
+    else:
+        a2 = a * a
+        ratio = 0.0
+        value = 1.0
+        for k in range(m + 200 + math.ceil(2000.0 / a2), 0, -1):
+            ratio = 1.0 / (1.0 + 2.0 * k / a2 * ratio)
+            if k <= m:
+                value *= ratio
+    # z - a^2/4 exactly, as one correctly rounded division of integers
+    an, ad = a.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    delta = (4 * zn * ad * ad - an * an * zd) / (4 * zd * ad * ad)
+    if abs(delta) < _FIRST_ORDER_DELTA:
+        value += delta * (value - (m == 1))
+    return value
 
 
 def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
@@ -197,11 +184,9 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
 
     For m = 1 this is (a sqrt(pi) / 2) e^(a^2/4) erfc(a/2).  The sum is
     compensated; when the measured cancellation is too deep for double
-    precision, or a^2/4 is too large for its terms to be represented, the
-    sum is evaluated in arbitrary precision instead, because the leading
-    asymptotic orders of its terms cancel exactly.  There every
-    Gamma(k/2, a^2/4) comes from one erfc and one exp by the upward
-    recurrence, and is shared by all m at the same point and precision.
+    precision, or a^2/4 is too large for its terms to be represented, P(m)
+    comes instead from the three-term recurrence the sum satisfies, which
+    has no alternating terms.
     """
     m = _require_neighbor_index(m)
     if params.ple != 2:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -34,8 +35,9 @@ SIMULATE_HEADER = [
     "error",
 ]
 
-_DENSITY_SWEEP_RHO = "0.002:0.03:0.004"
-_DENSITY_SWEEP_PSI = "5,15"
+# the flags that set the grid, with the grid they give when none is set
+_GRID_FLAGS = {"rho": "--rho", "psi_db": "--psi-db", "model": "--model"}
+_DEFAULT_GRID = {"rho": [0.019], "psi_db": [5.0, 15.0], "model": "both"}
 _Z95 = montecarlo._Z95
 # ScenarioParams names the field it rejects; report the flag that set it
 _FLAG_OF_FIELD = {
@@ -54,7 +56,7 @@ _MAX_RANGE_POINTS = 10**6
 # the numerical backend each command computes with, imported while its
 # arguments are parsed so that no import lands inside the computation
 _BACKENDS = {
-    "analytic": (numerics._quad, analytic._mpmath),
+    "analytic": (numerics._quad,),
     "simulate": (graph._csgraph,),
 }
 
@@ -68,7 +70,7 @@ class _LoadingSubcommand(argparse._SubParsersAction):
             load()
 
 
-def _parse_value_spec(text: str, flag: str) -> list[float]:
+def _parse_value_spec(text: str) -> list[float]:
     """Parse '0.01', '0.01,0.02' or 'start:stop:step'.
 
     A range lists start + k*step for every k that stays at or below stop,
@@ -78,41 +80,40 @@ def _parse_value_spec(text: str, flag: str) -> list[float]:
     """
     text = text.strip()
     if not text:
-        raise argparse.ArgumentTypeError(f"{flag}: empty value list")
+        raise argparse.ArgumentTypeError("empty value list")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"{flag}: range must be start:stop:step")
+            raise argparse.ArgumentTypeError("range must be start:stop:step")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{flag}: {exc}") from None
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not all(map(math.isfinite, (start, stop, step))):
-            raise argparse.ArgumentTypeError(f"{flag}: range start, stop and step must be finite")
+            raise argparse.ArgumentTypeError("range start, stop and step must be finite")
         if step <= 0 or stop < start:
-            raise argparse.ArgumentTypeError(f"{flag}: need step > 0 and stop >= start")
+            raise argparse.ArgumentTypeError("need step > 0 and stop >= start")
         # a span of finite bounds can still overflow to inf
         steps = (stop - start) / step + 1e-9
         if not steps < _MAX_RANGE_POINTS:
-            raise argparse.ArgumentTypeError(
-                f"{flag}: range lists more than {_MAX_RANGE_POINTS} points")
+            raise argparse.ArgumentTypeError(f"range lists more than {_MAX_RANGE_POINTS} points")
         count = math.floor(steps) + 1
         return [min(start + k * step, stop) for k in range(count)]
     try:
         return [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{flag}: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _spec_type(flag: str):
-    def parse(text: str) -> list[float]:
-        return _parse_value_spec(text, flag)
-
-    return parse
+# the grid each preset runs; a preset excludes every grid flag
+_PRESETS = {
+    "density-sweep": {"rho": _parse_value_spec("0.002:0.03:0.004"), "psi_db": [5.0, 15.0],
+                      "model": "both"},
+}
 
 
 def _int_at_least(minimum: int):
@@ -130,9 +131,10 @@ def _int_at_least(minimum: int):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rho", type=_spec_type("--rho"), default=[0.019],
+    # the grid flags default to None, so that main can tell them from a preset
+    common.add_argument("--rho", type=_parse_value_spec,
                         help="vehicle density [veh/m]: value, comma list, or start:stop:step")
-    common.add_argument("--psi-db", type=_spec_type("--psi-db"), default=[5.0, 15.0],
+    common.add_argument("--psi-db", type=_parse_value_spec,
                         help="SNR threshold [dB]: value, comma list, or start:stop:step")
     common.add_argument("--tx-dbm", type=float, default=33.0, help="transmit power [dBm]")
     common.add_argument("--noise-mw", type=float, default=0.01, help="noise power [mW]")
@@ -142,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--length-m", type=float, default=10_000.0, help="road length [m]")
     common.add_argument("--big-m", type=_int_at_least(1), default=10,
                         help="one-side neighbour span for link/vehicle metrics")
-    common.add_argument("--model", choices=["unit_disc", "rayleigh", "both"], default="both")
+    common.add_argument("--model", choices=["unit_disc", "rayleigh", "both"])
     common.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
 
     parser = argparse.ArgumentParser(
@@ -163,9 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="connectivity decision: components (exact, default), eigen "
                           "(Laplacian spectrum) or both (exact, cross-checked by eigen)")
     sim.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel trial workers")
-    sim.add_argument("--preset", choices=["density-sweep"], default=None,
+    sim.add_argument("--preset", choices=list(_PRESETS), default=None,
                      help="density-sweep: densities 0.002..0.03, thresholds 5 and 15 dB, "
-                          "both models")
+                          "both models; not allowed with --rho, --psi-db or --model")
     return parser
 
 
@@ -305,10 +307,13 @@ def _write_csv(handle, header: list[str], rows) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and args.preset == "density-sweep":
-        args.rho = _parse_value_spec(_DENSITY_SWEEP_RHO, "--rho")
-        args.psi_db = _parse_value_spec(_DENSITY_SWEEP_PSI, "--psi-db")
-        args.model = "both"
+    preset = getattr(args, "preset", None)
+    grid = _PRESETS[preset] if preset else _DEFAULT_GRID
+    for dest, flag in _GRID_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, grid[dest])
+        elif preset:
+            parser.error(f"argument {flag}: not allowed with --preset {preset}")
     # every grid point is validated before any output is written
     try:
         points = [(rho, psi_db, _make_params(args, rho, psi_db)) for rho, psi_db in _grid(args)]
@@ -325,6 +330,12 @@ def main(argv=None) -> int:
                 _write_csv(handle, ANALYTIC_HEADER, _analytic_rows(args, points))
             else:
                 _write_csv(handle, SIMULATE_HEADER, _simulate_rows(args, points))
+            handle.flush()
+        except BrokenPipeError:
+            # the reader went away (as under `| head`): send what is still
+            # buffered to devnull, so the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             print(f"vanetconn: {exc}", file=sys.stderr)
             return 1

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -126,13 +127,31 @@ def test_closed_form_requirements(make_params):
     with pytest.raises(ValueError):
         p_sl_rayleigh_closed_alpha2(make_params(ple=3), 1)
     # rho^2 lam^2 / 4 past the double-precision guard (about 1250 and 9090):
-    # the closed form is summed in arbitrary precision
+    # the closed form comes from its recurrence
     for params in (make_params(rho=0.05, psi_db=0.0), make_params(rho=0.24, psi_db=5.0)):
         for m in range(1, 11):
             q = p_sl_rayleigh(params, m)
             c = p_sl_rayleigh_closed_alpha2(params, m)
             assert abs(c - q) <= 1e-8 * q, f"m={m}: closed={c!r} quad={q!r}"
     assert p_sl_rayleigh_closed_alpha2(make_params(rho=1e-9), 3) < 1e-6
+
+
+@pytest.mark.parametrize("rho", [3.7e-12, 3.3e-10, 1e300])
+def test_closed_form_where_a_squared_rounds_coarsely(make_params, rho):
+    # a = rho * lam of about 5e6, 5e8 and inf: z = a*a/4 is off a^2/4 by
+    # about -4e-4 and -1.4, then infinite
+    params = make_params(rho=rho, psi_db=-300.0)
+    for m in range(1, 4):
+        q = p_sl_rayleigh(params, m)
+        c = p_sl_rayleigh_closed_alpha2(params, m)
+        assert abs(c - q) <= 1e-8 * q, f"m={m}: closed={c!r} quad={q!r}"
+
+
+@functools.lru_cache(maxsize=None)
+def _gammainc_half(k, z, dps):
+    # Gamma(k/2, z) at dps digits; every m at one z shares these
+    with mpmath.workdps(dps):
+        return mpmath.gammainc(mpmath.mpf(k) / 2, a=z)
 
 
 def _closed_form_mp_gammainc(m, a, z):
@@ -146,7 +165,7 @@ def _closed_form_mp_gammainc(m, a, z):
             total = mpmath.fsum(
                 mpmath.binomial(m - 1, k)
                 * (-half_a) ** k
-                * mpmath.gammainc(mpmath.mpf(m - k) / 2, a=z)
+                * _gammainc_half(m - k, z, dps)
                 for k in range(m)
             )
             value = float(
@@ -166,18 +185,14 @@ _ESCALATION_A = [float(a) for a in np.logspace(-3, math.log10(200.0), 13)] + [52
 
 @pytest.mark.parametrize("a", _ESCALATION_A)
 def test_closed_form_mp_is_bit_identical_to_gammainc_sum(a):
+    # the recurrence against the high-precision sum: within 1e-14 relative,
+    # and the same 12 significant digits the CSV prints
     z = 0.25 * a * a
-    for m in range(1, 13):
-        assert analytic._closed_form_mp(m, a, z) == _closed_form_mp_gammainc(m, a, z), f"m={m}"
-
-
-@pytest.mark.parametrize("z", [2.5e-7, 0.3, 4.0, 90.0, 700.0, 1250.0, 9025.0])
-def test_upper_gamma_half_table_matches_gammainc(z):
-    with mpmath.workdps(50):
-        for k in range(1, 13):
-            expected = mpmath.gammainc(mpmath.mpf(k) / 2, a=z)
-            got = analytic._upper_gamma_half(k, z, 50)
-            assert abs(got - expected) <= mpmath.mpf(10) ** -45 * expected, f"k={k}"
+    for m in range(1, 41):
+        got = analytic._closed_form_mp(m, a, z)
+        expected = _closed_form_mp_gammainc(m, a, z)
+        assert abs(got - expected) <= 1e-14 * expected, f"m={m}"
+        assert f"{got:.12g}" == f"{expected:.12g}", f"m={m}"
 
 
 def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params):

@@ -3,6 +3,9 @@ import csv
 import hashlib
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 
 from vanetconn import analytic
 from vanetconn.cli import _parse_value_spec, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _read(path):
@@ -21,6 +26,13 @@ def _run(tmp_path, *args):
     out = tmp_path / "out.csv"
     code = main([*args, "--out", str(out)])
     return code, out
+
+
+def _fresh_python(*args, **kwargs) -> subprocess.Popen:
+    """A new interpreter that imports vanetconn from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
 def test_analytic_defaults_include_reference_network_row(tmp_path):
@@ -80,15 +92,16 @@ def test_unbounded_range_spec_is_a_usage_error(tmp_path, capsys, flag, spec):
     with pytest.raises(SystemExit) as excinfo:
         main(["analytic", f"{flag}={spec}", "--out", str(tmp_path / "x.csv")])
     assert excinfo.value.code == 2
-    assert flag in capsys.readouterr().err.splitlines()[-1]
+    # argparse names the flag; the message must not name it again
+    assert capsys.readouterr().err.splitlines()[-1].count(flag) == 1
     assert not (tmp_path / "x.csv").exists()
 
 
 def test_range_spec_point_ceiling(monkeypatch):
     monkeypatch.setattr("vanetconn.cli._MAX_RANGE_POINTS", 10)
-    assert len(_parse_value_spec("0:9:1", "--rho")) == 10
+    assert len(_parse_value_spec("0:9:1")) == 10
     with pytest.raises(argparse.ArgumentTypeError, match="more than 10 points"):
-        _parse_value_spec("0:10:1", "--rho")
+        _parse_value_spec("0:10:1")
 
 
 @pytest.mark.parametrize("rho, where, flag", [
@@ -111,7 +124,7 @@ def test_range_spec_properties(start, step, span):
     # the on-grid points start + k*step up to stop; the last one is clamped
     # onto stop only when it overshoots by rounding
     stop = start + span * step
-    values = _parse_value_spec(f"{start!r}:{stop!r}:{step!r}", "--rho")
+    values = _parse_value_spec(f"{start!r}:{stop!r}:{step!r}")
     tol = 1e-6 * step
     assert values[0] == start
     assert max(values) <= stop
@@ -143,8 +156,8 @@ def test_bad_simulate_arguments_are_usage_errors(tmp_path, capsys, flag, value):
         main(["simulate", "--rho", "0.01", "--psi-db", "15", "--trials", "2",
               flag, value, "--out", str(tmp_path / "x.csv")])
     assert excinfo.value.code == 2
-    # the error line, not only the usage line, names the flag
-    assert flag in capsys.readouterr().err.splitlines()[-1]
+    # the error line, not only the usage line, names the flag, and names it once
+    assert capsys.readouterr().err.splitlines()[-1].count(flag) == 1
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -155,6 +168,15 @@ def test_bad_analytic_grid_writes_nothing(tmp_path, flag, value):
         main(["analytic", "--psi-db", "15", flag, value, "--out", str(tmp_path / "x.csv")])
     assert excinfo.value.code == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_analytic_closed_form_at_infinite_reach(tmp_path):
+    # rho * lam overflows to inf; the quadrature rows read 1 there
+    code, out = _run(tmp_path, "analytic", "--rho", "1e300", "--psi-db", "-300",
+                     "--model", "rayleigh", "--big-m", "2")
+    assert code == 0
+    closed = [r["value"] for r in _read(out) if r["metric"] == "p_single_link_closed"]
+    assert closed == ["1", "1"]
 
 
 def test_analytic_closed_form_past_the_double_precision_guard(tmp_path):
@@ -183,9 +205,10 @@ def test_simulate_matches_golden_digest(tmp_path, decider):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE[decider]
 
 
-# SHA-256 of the CSV bytes of analytic grids, recorded while every
-# high-precision incomplete gamma still came from mpmath.gammainc and every
-# vehicle-connectivity product ran its own quadratures.
+# SHA-256 of the CSV bytes of analytic grids.  They were recorded while the
+# closed form's deep cancellations were re-summed in mpmath at up to 640
+# digits and every vehicle-connectivity product ran its own quadratures; the
+# double-precision recurrence and the memoised quadratures keep every byte.
 GOLDEN_ANALYTIC = {
     "--rho 0.002:0.03:0.002 --psi-db 0:20:2":
         "f5ecaaa3e2e313ea2cbd9a02bd5ad5ec715a2149c06db7a0277adb2e61cc834a",
@@ -200,6 +223,17 @@ GOLDEN_ANALYTIC = {
 def test_analytic_matches_golden_digest(tmp_path, grid):
     code, out = _run(tmp_path, "analytic", *grid.split())
     assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ANALYTIC[grid]
+
+
+def test_analytic_runs_without_mpmath(tmp_path):
+    grid = "--rho 0.026:0.03:0.002 --psi-db 0:4:2"
+    out = tmp_path / "out.csv"
+    script = ("import sys; sys.modules['mpmath'] = None; from vanetconn.cli import main; "
+              f"sys.exit(main(['analytic', *{grid.split()!r}, '--out', {str(out)!r}]))")
+    proc = _fresh_python("-c", script, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ANALYTIC[grid]
 
 
@@ -287,6 +321,35 @@ def test_density_sweep_preset_grid(tmp_path):
     assert rhos == [round(0.002 + 0.004 * k, 3) for k in range(8)]
     assert {r["psi_db"] for r in rows} == {"5", "15"}
     assert {r["model"] for r in rows} == {"unit_disc", "rayleigh"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rho", "0.5"),
+    ("--psi-db", "5"),
+    ("--model", "unit_disc"),
+])
+def test_preset_excludes_grid_flags(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--preset", "density-sweep", flag, value, "--trials", "1",
+              "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_closed_stdout_exits_without_traceback():
+    # ~1 MB of rows, far past a pipe's buffer, so the writer is still
+    # writing when the reader goes away after the header
+    proc = _fresh_python("-m", "vanetconn", "analytic", "--model", "unit_disc",
+                         "--rho", "0.001:0.2:0.001", "--psi-db", "15", "--big-m", "50",
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert header.startswith(b"model,rho,psi_db,")
+    assert err == b""
 
 
 def test_stdout_output(capsys):
