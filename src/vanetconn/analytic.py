@@ -17,6 +17,7 @@ from .scenario import ScenarioParams
 
 __all__ = [
     "DivergentMeanError",
+    "communication_range",
     "p_sl_ud_first",
     "p_network_ud",
     "p_sl_ud_mth",
@@ -27,7 +28,6 @@ __all__ = [
     "avg_node_degree",
     "p_vehicle_one_side_rayleigh",
     "p_vehicle_rayleigh",
-    "p_vehicle_ud",
 ]
 
 # beyond z = rho^2 lam^2 / 4 = 700 the incomplete gammas, of order e^-z, near
@@ -64,7 +64,11 @@ def communication_range(params: ScenarioParams) -> float:
 
 
 def p_sl_ud_first(params: ScenarioParams) -> float:
-    """Probability that a vehicle reaches its immediate neighbour in the unit disc."""
+    """Probability that a vehicle reaches its immediate neighbour in the unit disc.
+
+    A unit-disc link at one distance implies links at every shorter one, so
+    this is also the one-side vehicle connectivity of the unit disc.
+    """
     return -math.expm1(-params.rho * communication_range(params))
 
 
@@ -184,9 +188,9 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
 
     For m = 1 this is (a sqrt(pi) / 2) e^(a^2/4) erfc(a/2).  The sum is
     compensated; when the measured cancellation is too deep for double
-    precision, or a^2/4 is too large for its terms to be represented, P(m)
-    comes instead from the three-term recurrence the sum satisfies, which
-    has no alternating terms.
+    precision, a^2/4 is too large for its terms to be represented, or a term
+    or the sum overflows (large m), P(m) comes instead from the three-term
+    recurrence the sum satisfies, which has no alternating terms.
     """
     m = _require_neighbor_index(m)
     if params.ple != 2:
@@ -197,12 +201,16 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
     if z >= _EXP_GUARD:
         return min(1.0, _closed_form_mp(m, a, z))
     half_a = 0.5 * a
-    terms = [
-        math.comb(m - 1, k) * (-half_a) ** k * upper_incomplete_gamma(0.5 * (m - k), z)
-        for k in range(m)
-    ]
+    try:
+        terms = [
+            math.comb(m - 1, k) * (-half_a) ** k * upper_incomplete_gamma(0.5 * (m - k), z)
+            for k in range(m)
+        ]
+    except OverflowError:
+        return min(1.0, _closed_form_mp(m, a, z))
     total, abs_total = _kahan_sum(terms)
-    if total <= 0.0 or abs_total / total > _CANCELLATION_ESCALATE:
+    # written so that a NaN or infinite total escalates too
+    if not (total > 0.0 and abs_total / total <= _CANCELLATION_ESCALATE):
         return min(1.0, _closed_form_mp(m, a, z))
     log_pref = m * math.log(a) + z - math.log(2.0) - math.lgamma(m)
     return min(1.0, math.exp(log_pref + math.log(total)))
@@ -286,8 +294,3 @@ def p_vehicle_rayleigh(params: ScenarioParams, big_m: int = 10) -> float:
     simulated vehicle connectivity.
     """
     return 1.0 - _one_side_disconnect(params, big_m) ** 2
-
-
-def p_vehicle_ud(params: ScenarioParams) -> float:
-    """Unit-disc vehicle connectivity; collapses to the first-neighbour link."""
-    return p_sl_ud_first(params)

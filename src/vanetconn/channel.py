@@ -1,7 +1,7 @@
 """Per-link SNR under the unit-disc and Rayleigh-fading channel models.
 
-All math in this module runs on linear quantities; dB and dBm appear only at
-the conversion helpers, and should stay confined to the CLI boundary.
+All math in this module runs on linear quantities.  dB and dBm appear only in
+the two to-linear helpers the CLI calls at its boundary; nothing converts back.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ __all__ = [
     "pair_uniforms",
     "snr_rayleigh",
     "dbm_to_mw",
-    "mw_to_dbm",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
@@ -162,17 +160,5 @@ def dbm_to_mw(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
-def mw_to_dbm(x: float) -> float:
-    if not x > 0:
-        raise ValueError(f"power must be > 0 mW, got {x!r}")
-    return 10.0 * math.log10(x)
-
-
 def db_to_linear(x: float) -> float:
     return 10.0 ** (x / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if not x > 0:
-        raise ValueError(f"ratio must be > 0, got {x!r}")
-    return 10.0 * math.log10(x)

@@ -79,8 +79,6 @@ def _parse_value_spec(text: str) -> list[float]:
     and it may list at most ``_MAX_RANGE_POINTS`` points.
     """
     text = text.strip()
-    if not text:
-        raise argparse.ArgumentTypeError("empty value list")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -100,9 +98,12 @@ def _parse_value_spec(text: str) -> list[float]:
         count = math.floor(steps) + 1
         return [min(start + k * step, stop) for k in range(count)]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values:
+        raise argparse.ArgumentTypeError("empty value list")
+    return values
 
 
 def _fmt(x: float) -> str:
@@ -218,7 +219,7 @@ def _analytic_rows(args, points):
             yield {**point, "model": "unit_disc", "m_or_M": "",
                    "metric": "p_network", "value": _fmt(analytic.p_network_ud(params))}
             yield {**point, "model": "unit_disc", "m_or_M": "",
-                   "metric": "p_vehicle_one_side", "value": _fmt(analytic.p_vehicle_ud(params))}
+                   "metric": "p_vehicle_one_side", "value": _fmt(analytic.p_sl_ud_first(params))}
             yield {**point, "model": "unit_disc", "m_or_M": "",
                    "metric": "avg_node_degree", "value": _fmt(2.0 * rho * r)}
         if "rayleigh" in _models(args):

@@ -23,7 +23,6 @@ __all__ = [
     "edges_from_adjacency",
     "count_components",
     "laplacian_eigenvalues",
-    "algebraic_connectivity",
     "check_spectral_ceiling",
     "count_partitions_eigen",
     "is_connected",
@@ -107,11 +106,6 @@ def count_components(g: EdgeList) -> int:
 def laplacian_eigenvalues(g: EdgeList) -> np.ndarray:
     """All Laplacian eigenvalues, ascending; raises on eigensolver failure."""
     return np.linalg.eigvalsh(g.laplacian)
-
-
-def algebraic_connectivity(g: EdgeList) -> float:
-    """Second-smallest Laplacian eigenvalue; positive iff the graph is connected."""
-    return float(laplacian_eigenvalues(g)[1])
 
 
 def check_spectral_ceiling(n: int, max_degree: int) -> None:

@@ -52,7 +52,7 @@ class TrialOutcome:
 
     connected: bool
     degrees: np.ndarray
-    linked_pairs_by_gap: np.ndarray  # count of linked (i, i+m) pairs, m = 1..big_m
+    linked_pairs_by_gap: np.ndarray  # linked (i, i+m) pairs, m = 1..min(big_m, N-1)
     n_isolated_two_side: int  # vehicles with no linked neighbour at all
     n_isolated_forward: int  # vehicles (but the last) with no forward link
     decider_mismatch: bool  # the spectral test disagreed with the exact one (decider "both")
@@ -181,7 +181,8 @@ def run_trial(
 
     degrees = edges.degrees
     forward_links = np.bincount(edges.i, minlength=n)
-    linked = np.bincount(edges.j - edges.i, minlength=big_m + 1)[1 : big_m + 1]
+    # gaps run 1..n-1, so the counts are sized by n, never by big_m
+    linked = np.bincount(edges.j - edges.i, minlength=n)[1 : big_m + 1]
 
     mismatch = False
     if decider == "eigen":
@@ -254,7 +255,7 @@ class EnsembleResult:
     decider: str
     connected: np.ndarray  # bool, (trials,)
     mismatch: np.ndarray  # bool, (trials,): the spectral test disagreed (decider "both")
-    linked_by_gap: np.ndarray  # int, (trials, big_m): linked (i, i+m) pairs, m = 1..big_m
+    linked_by_gap: np.ndarray  # int, (trials, min(big_m, N-1)): linked (i, i+m) pairs
     n_isolated_two_side: np.ndarray  # int, (trials,)
     n_isolated_forward: np.ndarray  # int, (trials,)
     degree_mean_interior: np.ndarray  # float, (trials,): inside default_interior_margin

@@ -20,7 +20,6 @@ from vanetconn.analytic import (
     p_sl_ud_mth,
     p_vehicle_one_side_rayleigh,
     p_vehicle_rayleigh,
-    p_vehicle_ud,
 )
 from vanetconn.scenario import erlang_pdf
 
@@ -254,6 +253,19 @@ def test_node_degree_closed_form(make_params):
     assert abs(avg_node_degree(p1) - 2.0 * p1.rho * lam1) < 1e-9
 
 
+@pytest.mark.parametrize("rho, psi_db", [(0.002, 0.0), (0.03, 0.0), (0.03, 20.0)])
+def test_closed_form_escalates_where_its_sum_overflows(make_params, rho, psi_db):
+    # corners of the analytic-grid grid: from m = 331, 231 and 325 a term or
+    # the sum overflows, and from m = 344 math.gamma raises; the recurrence
+    # takes over instead of min(1.0, nan) returning 1
+    params = make_params(rho=rho, psi_db=psi_db)
+    a = rho * communication_range(params)
+    for m in range(200, 401):
+        value = p_sl_rayleigh_closed_alpha2(params, m)
+        assert value == analytic._closed_form_mp(m, a, 0.25 * a * a), m
+        assert value < 1e-6, m
+
+
 def test_vehicle_connectivity_composition(make_params):
     params = make_params()
     assert abs(
@@ -263,7 +275,6 @@ def test_vehicle_connectivity_composition(make_params):
     assert all(b >= a for a, b in zip(values, values[1:])), "nondecreasing in the span"
     one = p_vehicle_one_side_rayleigh(params, 10)
     assert abs(p_vehicle_rayleigh(params, 10) - (1.0 - (1.0 - one) ** 2)) < 1e-12
-    assert p_vehicle_ud(params) == p_sl_ud_first(params)
     assert p_vehicle_rayleigh(make_params(rho=1e-10), 5) < 1e-6
     assert p_vehicle_rayleigh(make_params(psi_db=-250.0), 3) > 1.0 - 1e-9
 

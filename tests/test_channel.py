@@ -10,9 +10,7 @@ from vanetconn.channel import (
     db_to_linear,
     dbm_to_mw,
     deterministic_snr,
-    linear_to_db,
     link_reach,
-    mw_to_dbm,
     pair_uniforms,
     sample_rayleigh_snr,
     snr_rayleigh,
@@ -177,6 +175,3 @@ def test_db_conversions():
     assert abs(dbm_to_mw(33.0) - 1995.262315) < 1e-6
     assert db_to_linear(0.0) == 1.0
     assert abs(db_to_linear(15.0) - 31.6227766) < 1e-7
-    for x in (-20.0, 0.0, 33.0):
-        assert abs(mw_to_dbm(dbm_to_mw(x)) - x) < 1e-12
-        assert abs(linear_to_db(db_to_linear(x)) - x) < 1e-12

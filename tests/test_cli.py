@@ -150,6 +150,7 @@ def test_range_spec_properties(start, step, span):
     ("--tx-dbm", "nan"),
     ("--tx-dbm", "1e5"),
     ("--psi-db", "1e5"),
+    ("--psi-db", ", "),  # a list with no values
 ])
 def test_bad_simulate_arguments_are_usage_errors(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as excinfo:
@@ -161,7 +162,11 @@ def test_bad_simulate_arguments_are_usage_errors(tmp_path, capsys, flag, value):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--rho", "0.01,0"), ("--tx-dbm", "1e5")])
+@pytest.mark.parametrize("flag, value", [
+    ("--rho", "0.01,0"),
+    ("--tx-dbm", "1e5"),
+    ("--rho", ","),  # a list with no values
+])
 def test_bad_analytic_grid_writes_nothing(tmp_path, flag, value):
     # a bad later grid point must not leave the earlier points' rows behind
     with pytest.raises(SystemExit) as excinfo:
@@ -186,6 +191,35 @@ def test_analytic_closed_form_past_the_double_precision_guard(tmp_path):
     closed = [r["value"] for r in _read(out) if r["metric"] == "p_single_link_closed"]
     assert len(closed) == 10
     assert all(0.0 < float(v) <= 1.0 for v in closed)
+
+
+def test_analytic_closed_form_at_large_neighbour_index(tmp_path):
+    # here the double sum's total is NaN from m = 309 (once read as 1.0), and
+    # math.gamma raises from m = 344; the recurrence takes over instead
+    code, out = _run(tmp_path, "analytic", "--rho", "0.01", "--psi-db", "5",
+                     "--model", "rayleigh", "--big-m", "400")
+    assert code == 0
+    rows = _read(out)
+    quad = [float(r["value"]) for r in rows
+            if r["model"] == "rayleigh" and r["metric"] == "p_single_link"]
+    closed = [float(r["value"]) for r in rows if r["metric"] == "p_single_link_closed"]
+    assert len(quad) == len(closed) == 400
+    for m, (q, c) in enumerate(zip(quad, closed), start=1):
+        assert math.isclose(q, c, rel_tol=1e-8) or max(q, c) < 1e-6, (m, q, c)
+    assert closed[-1] < 1e-6
+
+
+def test_simulate_big_m_beyond_the_road_lists_every_gap(tmp_path):
+    # N = 190 here: a span of 10^12 gives the bytes of N - 1 = 189, and no
+    # array is sized by the flag
+    code, out = _run(tmp_path, "simulate", "--rho", "0.019", "--psi-db", "15",
+                     "--trials", "20", "--big-m", "1000000000000")
+    assert code == 0
+    huge = out.read_bytes()
+    code, out = _run(tmp_path, "simulate", "--rho", "0.019", "--psi-db", "15",
+                     "--trials", "20", "--big-m", "189")
+    assert code == 0
+    assert out.read_bytes() == huge
 
 
 # SHA-256 of the CSV bytes, recorded with the dense-matrix eigensolve pipeline

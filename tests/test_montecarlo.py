@@ -150,6 +150,20 @@ def test_trial_memory_is_linear_in_vehicles(make_params):
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_trial_memory_does_not_grow_with_big_m(make_params):
+    # the per-gap counts are sized by N (190 here), not by the span
+    params = make_params()
+    run_trial(params, RAYLEIGH, trial_rng(1, 0))  # lazy imports off the trace
+    tracemalloc.start()
+    try:
+        outcome = run_trial(params, RAYLEIGH, trial_rng(1, 0), big_m=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.linked_pairs_by_gap.shape == (params.n_vehicles - 1,)
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_trial_validates_inputs(make_params):
     params = make_params()
     with pytest.raises(ValueError):
@@ -256,7 +270,7 @@ def test_vehicle_connectivity_estimates(make_params):
     for side in ("one", "two"):
         assert full.vehicle_connectivity(side).estimate == 1.0
     unit_disc = run_ensemble(params, UNIT_DISC, trials=300, master_seed=12, big_m=1)
-    assert unit_disc.vehicle_connectivity("one").covers(analytic.p_vehicle_ud(params))
+    assert unit_disc.vehicle_connectivity("one").covers(analytic.p_sl_ud_first(params))
     fading = run_ensemble(params, RAYLEIGH, trials=300, master_seed=12, big_m=1)
     two_side = fading.vehicle_connectivity("two")
     assert two_side.estimate <= analytic.p_vehicle_rayleigh(params, 10) + 2e-3

@@ -25,6 +25,11 @@ def test_every_package_import_exists():
                if isinstance(node, ast.ImportFrom) and node.level == 1
                for alias in node.names]
     assert imports
+    # the root imports every library module, so `import vanetconn` loads them all
+    assert {name for module, name in imports if module is None} == set(SUBMODULES) - {"cli"}
     for module, name in imports:
-        assert hasattr(importlib.import_module(f"vanetconn.{module}"), name), (module, name)
-        assert hasattr(vanetconn, name), name
+        if module is None:  # from . import <submodule>
+            assert getattr(vanetconn, name) is importlib.import_module(f"vanetconn.{name}")
+        else:
+            assert hasattr(importlib.import_module(f"vanetconn.{module}"), name), (module, name)
+            assert hasattr(vanetconn, name), name
