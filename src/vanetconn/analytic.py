@@ -13,12 +13,11 @@ import math
 
 from . import channel, scenario
 from .numerics import integrate_semi_infinite, upper_incomplete_gamma
-from .scenario import ScenarioParams
+from .scenario import ScenarioParams, _require_neighbor_index
 
 __all__ = [
     "DivergentMeanError",
     "communication_range",
-    "p_sl_ud_first",
     "p_network_ud",
     "p_sl_ud_mth",
     "p_sl_rayleigh",
@@ -47,12 +46,6 @@ class DivergentMeanError(ValueError):
     """The requested average SNR is infinite for this neighbour index."""
 
 
-def _require_neighbor_index(m) -> int:
-    if m != int(m) or m < 1:
-        raise ValueError(f"neighbour index must be a positive integer, got {m!r}")
-    return int(m)
-
-
 def _snr_decay_coefficient(params: ScenarioParams) -> float:
     """Coefficient c in the exceedance probability e^(-c d^alpha) of a fading link."""
     return params.psi * params.noise_power / (params.beta * params.tx_power)
@@ -61,15 +54,6 @@ def _snr_decay_coefficient(params: ScenarioParams) -> float:
 def communication_range(params: ScenarioParams) -> float:
     """Unit-disc radius; numerically also the length scale of the fading model."""
     return channel.unit_disc_range(params.budget, params.psi)
-
-
-def p_sl_ud_first(params: ScenarioParams) -> float:
-    """Probability that a vehicle reaches its immediate neighbour in the unit disc.
-
-    A unit-disc link at one distance implies links at every shorter one, so
-    this is also the one-side vehicle connectivity of the unit disc.
-    """
-    return -math.expm1(-params.rho * communication_range(params))
 
 
 def p_network_ud(params: ScenarioParams) -> float:
@@ -83,8 +67,11 @@ def p_network_ud(params: ScenarioParams) -> float:
 
 
 def p_sl_ud_mth(params: ScenarioParams, m: int = 1) -> float:
-    """Unit-disc link probability to the m-th neighbour: Erlang CDF at the radius."""
-    m = _require_neighbor_index(m)
+    """Unit-disc link probability to the m-th neighbour: Erlang CDF at the radius.
+
+    A unit-disc link at one distance implies links at every shorter one, so
+    m = 1 is also the one-side vehicle connectivity of the unit disc.
+    """
     return scenario.erlang_cdf(communication_range(params), m, params.rho)
 
 
@@ -256,23 +243,16 @@ def avg_snr_ud(params: ScenarioParams, m: int) -> float:
 def avg_node_degree(params: ScenarioParams) -> float:
     """Expected number of fading-linked neighbours of an interior vehicle.
 
-    2 * rho * integral of e^(-c x^alpha) over [0, inf); equals
-    rho * lam * sqrt(pi) for alpha = 2.
+    2 * rho * integral of e^(-c x^alpha) over [0, inf), with c = lam^-alpha:
+    2 rho lam Gamma(1 + 1/alpha).  That is rho lam sqrt(pi) for alpha = 2,
+    and never more than the unit disc's 2 rho lam.
     """
-    c = _snr_decay_coefficient(params)
-    alpha = params.ple
-    lam = communication_range(params)
-    value, _ = integrate_semi_infinite(
-        lambda x: math.exp(-c * x**alpha), lam * 60.0 ** (1.0 / alpha)
-    )
-    return 2.0 * params.rho * value
+    return 2.0 * params.rho * math.gamma(1.0 + 1.0 / params.ple) * communication_range(params)
 
 
 def _one_side_disconnect(params: ScenarioParams, big_m: int) -> float:
-    if big_m != int(big_m) or big_m < 1:
-        raise ValueError(f"neighbour span must be a positive integer, got {big_m!r}")
     prod = 1.0
-    for m in range(1, int(big_m) + 1):
+    for m in range(1, _require_neighbor_index(big_m) + 1):
         prod *= max(0.0, 1.0 - p_sl_rayleigh(params, m))
     return prod
 

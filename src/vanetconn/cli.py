@@ -219,7 +219,7 @@ def _analytic_rows(args, points):
             yield {**point, "model": "unit_disc", "m_or_M": "",
                    "metric": "p_network", "value": _fmt(analytic.p_network_ud(params))}
             yield {**point, "model": "unit_disc", "m_or_M": "",
-                   "metric": "p_vehicle_one_side", "value": _fmt(analytic.p_sl_ud_first(params))}
+                   "metric": "p_vehicle_one_side", "value": _fmt(analytic.p_sl_ud_mth(params, 1))}
             yield {**point, "model": "unit_disc", "m_or_M": "",
                    "metric": "avg_node_degree", "value": _fmt(2.0 * rho * r)}
         if "rayleigh" in _models(args):
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
             # buffered to devnull, so the flush at exit cannot raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
+        except (ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
             print(f"vanetconn: {exc}", file=sys.stderr)
             return 1
     return 0

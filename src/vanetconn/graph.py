@@ -4,9 +4,9 @@ A trial's graph is an edge list thresholded from the SNR of a pair window.
 The exact decider counts its connected components with scipy's
 ``connected_components``.  The spectral decider follows the Laplacian route:
 the number of zero eigenvalues equals the number of connected components, so
-a graph is connected exactly when the second-smallest eigenvalue (the
-algebraic connectivity) is positive.  It needs a dense Laplacian and a
-tolerance for "zero", and serves as the cross-check.
+a graph is connected exactly when one eigenvalue is zero (its algebraic
+connectivity, the second-smallest, is positive).  It needs a dense Laplacian
+and a tolerance for "zero", and serves as the cross-check.
 """
 
 from __future__ import annotations
@@ -128,20 +128,18 @@ def check_spectral_ceiling(n: int, max_degree: int) -> None:
         )
 
 
-def _spectrum(g: EdgeList) -> tuple[np.ndarray, float]:
-    """Eigenvalues and the zero tolerance, after the ceiling check."""
+def count_partitions_eigen(g: EdgeList) -> int:
+    """Number of connected components as the count of (near-)zero eigenvalues.
+
+    An eigenvalue is zero when its magnitude is below 1e-8 * max(1, lambda_max);
+    the ceiling check runs first.
+    """
     check_spectral_ceiling(g.n, int(g.degrees.max()))
     eigenvalues = laplacian_eigenvalues(g)
-    return eigenvalues, _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
-
-
-def count_partitions_eigen(g: EdgeList) -> int:
-    """Number of connected components as the count of (near-)zero eigenvalues."""
-    eigenvalues, tol = _spectrum(g)
+    tol = _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
     return int(np.count_nonzero(np.abs(eigenvalues) < tol))
 
 
 def is_connected(g: EdgeList) -> bool:
-    """Spectral connectivity decision: algebraic connectivity above the zero tolerance."""
-    eigenvalues, tol = _spectrum(g)
-    return float(eigenvalues[1]) > tol
+    """Spectral connectivity decision: exactly one zero Laplacian eigenvalue."""
+    return count_partitions_eigen(g) == 1

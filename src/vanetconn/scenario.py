@@ -126,6 +126,12 @@ def placement_from_headways(headways: np.ndarray, reach: float) -> Placement:
     return Placement(headways, positions, distances, ahead, i, j)
 
 
+def _require_neighbor_index(m) -> int:
+    if m != int(m) or m < 1:
+        raise ValueError(f"neighbour index must be a positive integer, got {m!r}")
+    return int(m)
+
+
 def erlang_pdf(x, m: int, rho: float):
     """Density of the gap to the m-th neighbour: rho^m x^(m-1) e^(-rho x)/(m-1)!.
 
@@ -133,11 +139,9 @@ def erlang_pdf(x, m: int, rho: float):
     so large m does not overflow the factorial.  Accepts scalars or arrays;
     negative x has zero density.
     """
-    if m != int(m) or m < 1:
-        raise ValueError(f"neighbour index must be a positive integer, got {m!r}")
+    m = _require_neighbor_index(m)
     if not rho > 0:
         raise ValueError(f"density must be > 0, got {rho!r}")
-    m = int(m)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr)
     log_norm = m * math.log(rho) - math.lgamma(m)
@@ -152,15 +156,20 @@ def erlang_pdf(x, m: int, rho: float):
 
 
 def erlang_cdf(x: float, m: int, rho: float) -> float:
-    """P(gap to the m-th neighbour <= x) = 1 - e^(-rho x) sum_{k<m} (rho x)^k / k!."""
-    if m != int(m) or m < 1:
-        raise ValueError(f"neighbour index must be a positive integer, got {m!r}")
+    """P(gap to the m-th neighbour <= x) = 1 - e^(-rho x) sum_{k<m} (rho x)^k / k!.
+
+    m = 1 is the exponential CDF, -expm1(-rho x), exact down to the smallest
+    rho x; larger m subtract the sum from 1.
+    """
+    m = _require_neighbor_index(m)
     if not rho > 0:
         raise ValueError(f"density must be > 0, got {rho!r}")
-    if x <= 0:
-        return 0.0
-    m = int(m)
     t = rho * x
+    # x <= 0, or rho x below the smallest double
+    if t <= 0:
+        return 0.0
+    if m == 1:
+        return -math.expm1(-t)
     log_t = math.log(t)
     total = 0.0
     for k in range(m):

@@ -16,7 +16,6 @@ from vanetconn.analytic import (
     p_network_ud,
     p_sl_rayleigh,
     p_sl_rayleigh_closed_alpha2,
-    p_sl_ud_first,
     p_sl_ud_mth,
     p_vehicle_one_side_rayleigh,
     p_vehicle_rayleigh,
@@ -33,13 +32,13 @@ def _erfc_closed_form(rho, lam):
 def test_first_neighbour_unit_disc_values(make_params):
     params = make_params()
     r = communication_range(params)
-    assert abs(p_sl_ud_first(params) - (1.0 - math.exp(-params.rho * r))) < 1e-15
-    assert abs(p_sl_ud_first(params) - 0.9915) < 1e-4
+    assert abs(p_sl_ud_mth(params, 1) - (1.0 - math.exp(-params.rho * r))) < 1e-15
+    assert abs(p_sl_ud_mth(params, 1) - 0.9915) < 1e-4
     # rho r = 1 gives 1 - 1/e
     params1 = make_params(rho=1.0 / r)
-    assert abs(p_sl_ud_first(params1) - (1.0 - math.exp(-1.0))) < 1e-12
+    assert abs(p_sl_ud_mth(params1, 1) - (1.0 - math.exp(-1.0))) < 1e-12
     # empty-road limit
-    assert p_sl_ud_first(make_params(rho=1e-12)) < 1e-9
+    assert p_sl_ud_mth(make_params(rho=1e-12), 1) < 1e-9
 
 
 def test_network_connectivity_unit_disc(make_params):
@@ -51,7 +50,7 @@ def test_network_connectivity_unit_disc(make_params):
     # N = 2 collapses to the single link
     tiny = make_params(rho=1e-5)
     assert tiny.n_vehicles == 2
-    assert abs(p_network_ud(tiny) - p_sl_ud_first(tiny)) < 1e-15
+    assert abs(p_network_ud(tiny) - p_sl_ud_mth(tiny, 1)) < 1e-15
     # huge radius connects everyone
     assert p_network_ud(make_params(psi_db=-200.0)) > 1.0 - 1e-9
 
@@ -68,8 +67,8 @@ def test_network_connectivity_unit_disc_below_double_precision(make_params):
 
 def test_mth_neighbour_unit_disc(make_params):
     params = make_params()
-    assert p_sl_ud_mth(params, 1) == p_sl_ud_first(params)
     r = communication_range(params)
+    assert p_sl_ud_mth(params, 1) == -math.expm1(-params.rho * r)
     t = params.rho * r
     hand_m2 = 1.0 - math.exp(-t) * (1.0 + t)
     assert abs(p_sl_ud_mth(params, 2) - hand_m2) < 1e-12
@@ -247,10 +246,19 @@ def test_node_degree_closed_form(make_params):
     assert abs(avg_node_degree(params) - 8.46) < 0.01
     # linear in density
     assert abs(avg_node_degree(make_params(rho=0.038)) / avg_node_degree(params) - 2.0) < 1e-9
-    # exponent 1: the integral is lam exactly
-    p1 = make_params(ple=1)
-    lam1 = communication_range(p1)
-    assert abs(avg_node_degree(p1) - 2.0 * p1.rho * lam1) < 1e-9
+    # exponent 1: the integral is lam exactly, also where it is tiny
+    for psi_db in (15.0, 300.0):
+        p1 = make_params(ple=1, psi_db=psi_db)
+        expected = 2.0 * p1.rho * communication_range(p1)
+        assert avg_node_degree(p1) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    # larger exponents against the quadrature of 2 rho e^(-c x^alpha)
+    for alpha in (3, 4, 6):
+        pa = make_params(ple=alpha)
+        lam = communication_range(pa)
+        c = pa.psi * pa.noise_power / (pa.beta * pa.tx_power)
+        integral, _ = quad(lambda x: math.exp(-c * x**alpha), 0.0, lam * 60.0 ** (1.0 / alpha),
+                           epsabs=1e-14, epsrel=1e-12)
+        assert avg_node_degree(pa) == pytest.approx(2.0 * pa.rho * integral, rel=1e-9)
 
 
 @pytest.mark.parametrize("rho, psi_db", [(0.002, 0.0), (0.03, 0.0), (0.03, 20.0)])
@@ -283,7 +291,7 @@ def test_probability_ranges_and_monotonicity(make_params):
     rhos = [0.004, 0.012, 0.03]
     psis = [5.0, 15.0, 25.0]
     metrics = [
-        lambda p: p_sl_ud_first(p),
+        lambda p: p_sl_ud_mth(p, 1),
         lambda p: p_network_ud(p),
         lambda p: p_sl_ud_mth(p, 4),
         lambda p: p_sl_rayleigh(p, 4),

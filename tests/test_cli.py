@@ -272,8 +272,7 @@ def test_analytic_runs_without_mpmath(tmp_path):
 
 
 def test_analytic_point_runs_one_quadrature_per_neighbour(tmp_path, monkeypatch):
-    # big_m link probabilities plus the node degree; the vehicle-connectivity
-    # rows reuse the link probabilities
+    # one per link probability; the vehicle-connectivity rows reuse them
     calls = []
     integrate = analytic.integrate_semi_infinite
 
@@ -286,7 +285,7 @@ def test_analytic_point_runs_one_quadrature_per_neighbour(tmp_path, monkeypatch)
     code, _ = _run(tmp_path, "analytic", "--rho", "0.019", "--psi-db", "15",
                    "--model", "rayleigh", "--big-m", "10")
     assert code == 0
-    assert len(calls) == 10 + 1
+    assert len(calls) == 10
 
 
 def test_failed_cell_is_an_error_row_and_the_grid_continues(tmp_path):
@@ -384,6 +383,29 @@ def test_closed_stdout_exits_without_traceback():
     assert proc.wait(timeout=120) == 1
     assert header.startswith(b"model,rho,psi_db,")
     assert err == b""
+
+
+def test_out_of_memory_exits_without_traceback():
+    # 10^13 vehicles ask numpy for about 73 TiB of headways; under a 3 GiB
+    # address-space limit that allocation fails before any page is touched
+    script = ("import os, resource, sys; os.environ['OPENBLAS_NUM_THREADS'] = '1'; "
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+              "from vanetconn.cli import main; "
+              "sys.exit(main(['simulate', '--rho', '1', '--length-m', '1e13', '--psi-db', '15', "
+              "'--trials', '1']))")
+    proc = _fresh_python("-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1, err
+    assert err.startswith("vanetconn: ") and len(err.splitlines()) == 1, err
+
+
+def test_unit_disc_first_link_is_the_one_side_connectivity(tmp_path):
+    # rho lam ~ 1.4e-17: 1 - e^-x rounds to 0, -expm1(-x) does not
+    code, out = _run(tmp_path, "analytic", "--rho", "0.001", "--psi-db", "340",
+                     "--model", "unit_disc", "--big-m", "1")
+    assert code == 0
+    rows = {r["metric"]: r["value"] for r in _read(out)}
+    assert rows["p_single_link"] == rows["p_vehicle_one_side"] == "1.41253754462e-17"
 
 
 def test_stdout_output(capsys):

@@ -231,7 +231,7 @@ def test_degenerate_single_trial(make_params):
 def test_single_link_estimates(make_params):
     params = make_params()
     est = run_ensemble(params, UNIT_DISC, trials=250, master_seed=10, big_m=1).single_link(1)
-    assert est.covers(analytic.p_sl_ud_first(params))
+    assert est.covers(analytic.p_sl_ud_mth(params, 1))
     ray = run_ensemble(params, RAYLEIGH, trials=250, master_seed=10, big_m=1).single_link(1)
     assert ray.covers(analytic.p_sl_rayleigh(params, 1))
     n = params.n_vehicles
@@ -270,7 +270,7 @@ def test_vehicle_connectivity_estimates(make_params):
     for side in ("one", "two"):
         assert full.vehicle_connectivity(side).estimate == 1.0
     unit_disc = run_ensemble(params, UNIT_DISC, trials=300, master_seed=12, big_m=1)
-    assert unit_disc.vehicle_connectivity("one").covers(analytic.p_sl_ud_first(params))
+    assert unit_disc.vehicle_connectivity("one").covers(analytic.p_sl_ud_mth(params, 1))
     fading = run_ensemble(params, RAYLEIGH, trials=300, master_seed=12, big_m=1)
     two_side = fading.vehicle_connectivity("two")
     assert two_side.estimate <= analytic.p_vehicle_rayleigh(params, 10) + 2e-3

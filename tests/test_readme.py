@@ -18,6 +18,7 @@ def test_library_example_gives_its_commented_values(capsys):
     # each value as the block's comments print it
     shown = {
         "0.2008": f"{analytic.p_network_ud(params):.4f}",
+        "0.9915": f"{analytic.p_sl_ud_mth(params, 1):.4f}",
         "8.459": f"{analytic.avg_node_degree(params):.3f}",
         "0.493": f"{est.estimate:.3f}",
     }

@@ -163,6 +163,10 @@ def test_erlang_cdf_matches_pdf_quadrature():
         assert abs(erlang_cdf(x, m, rho) - oracle) < 1e-10, f"m={m}, x={x}"
     assert erlang_cdf(0.0, 3, rho) == 0.0
     assert erlang_cdf(-1.0, 3, rho) == 0.0
+    # m = 1 keeps its relative accuracy where 1 - e^-t rounds to 0
+    assert erlang_cdf(1.0, 1, 1e-17) == -math.expm1(-1e-17)
+    # rho x below the smallest double is a zero probability, not a log(0)
+    assert erlang_cdf(1e-300, 2, 1e-300) == 0.0
 
 
 def test_summed_headways_follow_erlang(make_params):
