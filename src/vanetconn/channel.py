@@ -73,15 +73,19 @@ _FADING_FACTOR_MAX = 37.0
 _REACH_MARGIN = 1.0 + 1e-6
 
 
-def link_reach(budget: LinkBudget, psi: float) -> float:
-    """Distance beyond which no pair can link under either channel model.
+def link_reach(budget: LinkBudget, psi: float, fading: bool) -> float:
+    """Distance beyond which no pair can link under the channel model.
 
-    A fading draw is at most 37 times its mean (see ``_FADING_FACTOR_MAX``),
-    so a pair whose deterministic SNR times 37 is below psi never links;
-    that happens past ``unit_disc_range * 37^(1/ple)``, which also covers
-    the unit disc.  Leaving out the pairs beyond this reach is exact.
+    The unit disc links up to ``unit_disc_range``.  A fading draw is at
+    most 37 times its mean (see ``_FADING_FACTOR_MAX``), so a pair whose
+    deterministic SNR times 37 is below psi never links; that happens past
+    ``unit_disc_range * 37^(1/ple)``.  Both reaches carry ``_REACH_MARGIN``,
+    so leaving out the pairs beyond them is exact.
     """
-    return unit_disc_range(budget, psi) * _FADING_FACTOR_MAX ** (1.0 / budget.ple) * _REACH_MARGIN
+    reach = unit_disc_range(budget, psi)
+    if fading:
+        reach *= _FADING_FACTOR_MAX ** (1.0 / budget.ple)
+    return reach * _REACH_MARGIN
 
 
 def sample_rayleigh_snr(d: float, budget: LinkBudget, rng: np.random.Generator) -> float:
@@ -106,19 +110,22 @@ def snr_unit_disc(distances: np.ndarray, budget: LinkBudget) -> np.ndarray:
         return np.divide(budget.snr_scale, snr, out=snr)
 
 
-def pair_uniforms(ahead: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniforms of the pairs in a window, at their places in the pair stream.
+def pair_uniforms(
+    ahead: np.ndarray, row_lengths: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniforms of the pairs in consecutive window rows, at their stream places.
 
-    The stream holds one uniform per pair (i, j), i < j, of all n vehicles in
-    row-major upper-triangle order, n = ``ahead.size + 1``; row i uses its
-    first ``ahead[i]`` pairs.  Each run of used pairs is one ``rng.random``
-    call and the pairs skipped at the end of a row are ``advance``d over, so
-    the result is ``rng.random(n * (n - 1) // 2)`` at the used pairs, and the
-    generator ends where that call would leave it.  This needs a bit
-    generator whose ``advance`` counts doubles, as PCG64 (the default) does.
+    The stream holds one uniform per pair (i, j), i < j, of all vehicles in
+    row-major upper-triangle order; row r has ``row_lengths[r]`` pairs in it
+    and uses its first ``ahead[r]``.  Each run of used pairs is one
+    ``rng.random`` call and the pairs skipped at the end of a row are
+    ``advance``d over, so rows fed in order, all of them or a block at a
+    time, give ``rng.random(n * (n - 1) // 2)`` at the used pairs and leave
+    the generator where that call would.  This needs a bit generator whose
+    ``advance`` counts doubles, as PCG64 (the default) does.
     """
     ahead = np.asarray(ahead)
-    skipped = np.arange(ahead.size, 0, -1) - ahead
+    skipped = row_lengths - ahead
     ends = np.cumsum(ahead)
     u = np.empty(ends[-1])
     rows = np.flatnonzero(skipped)
@@ -134,9 +141,13 @@ def pair_uniforms(ahead: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def snr_rayleigh(
-    distances: np.ndarray, ahead: np.ndarray, budget: LinkBudget, rng: np.random.Generator
+    distances: np.ndarray,
+    ahead: np.ndarray,
+    row_lengths: np.ndarray,
+    budget: LinkBudget,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Fading SNR at each distance of a pair window, one draw per pair.
+    """Fading SNR at each distance of consecutive window rows, one draw per pair.
 
     Each draw is exponential with mean the deterministic SNR at the pair
     distance, sampled by inverse CDF from the pair's uniform in the stream
@@ -145,7 +156,7 @@ def snr_rayleigh(
     ``-means * log(1 - u)`` while holding only two pair-sized arrays.
     """
     snr = snr_unit_disc(distances, budget)
-    u = pair_uniforms(ahead, rng)
+    u = pair_uniforms(ahead, row_lengths, rng)
     np.subtract(1.0, u, out=u)  # maps [0, 1) onto (0, 1]
     np.log(u, out=u)
     with np.errstate(invalid="ignore"):

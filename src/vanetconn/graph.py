@@ -84,22 +84,34 @@ def edges_from_adjacency(adjacency: np.ndarray) -> EdgeList:
 
 @cache
 def _csgraph():
-    """``scipy.sparse.coo_array`` and ``connected_components``, imported on first use.
+    """``scipy.sparse.csr_array`` and ``connected_components``, imported on first use.
 
     Only the ensemble counts components, so the closed forms never pay for
     ``scipy.sparse.csgraph``.  A process pool inherits the import when the
     parent calls this before forking.
     """
-    from scipy.sparse import coo_array
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    return coo_array, connected_components
+    return csr_array, connected_components
 
 
 def count_components(g: EdgeList) -> int:
-    """Exact number of connected components."""
-    coo_array, connected_components = _csgraph()
-    adjacency = coo_array((np.ones(g.i.size, dtype=np.int8), (g.i, g.j)), shape=(g.n, g.n))
+    """Exact number of connected components.
+
+    The edges become CSR rows directly when they come in row order, as a
+    trial lists them; any other order is sorted by row first.
+    """
+    csr_array, connected_components = _csgraph()
+    i, j = g.i, g.j
+    if np.any(i[1:] < i[:-1]):
+        order = np.argsort(i, kind="stable")
+        i, j = i[order], j[order]
+    indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(i, minlength=g.n), out=indptr[1:])
+    # csgraph reads the index buffer as is, so it must be contiguous
+    indices = np.ascontiguousarray(j)
+    adjacency = csr_array((np.ones(j.size), indices, indptr), shape=(g.n, g.n))
     return int(connected_components(adjacency, directed=False, return_labels=False))
 
 

@@ -146,6 +146,33 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial_index])
 
 
+def _trial_edges(
+    headways: np.ndarray, params: ScenarioParams, model: str, rng: np.random.Generator
+) -> graph.EdgeList:
+    """Edge list of one snapshot, thresholded a block of its pair window at a time.
+
+    The window holds every pair within the model's ``channel.link_reach``,
+    so every pair that can link; the fading uniforms keep their places in
+    the full pair stream.  Only the linked pairs outlive their block.
+    """
+    fading = model == RAYLEIGH
+    reach = channel.link_reach(params.budget, params.psi, fading)
+    placement = scenario.placement_from_headways(headways, reach)
+    n = placement.n_vehicles
+    parts = []
+    for block in placement.blocks():
+        if fading:
+            snr = channel.snr_rayleigh(
+                block.distances, block.ahead, block.row_lengths, params.budget, rng
+            )
+        else:
+            snr = channel.snr_unit_disc(block.distances, params.budget)
+        parts.append(graph.edges_from_snr(snr, params.psi, block.i, block.j, n))
+    return graph.EdgeList(
+        n, np.concatenate([e.i for e in parts]), np.concatenate([e.j for e in parts])
+    )
+
+
 def run_trial(
     params: ScenarioParams,
     model: str,
@@ -155,10 +182,9 @@ def run_trial(
 ) -> TrialOutcome:
     """One snapshot: in-window pairs -> SNR -> edge list -> metrics.
 
-    The pair window is every pair within ``channel.link_reach``, which holds
-    every pair that can link under either model; the fading uniforms keep
-    their places in the full pair stream, so the outcome is the one of a
-    trial over all pairs.
+    The edge list is the one of a trial over all pairs (see ``_trial_edges``),
+    built in time linear in the window and memory linear in the vehicles
+    and edges.
 
     ``components`` decides connectivity exactly.  On the unit disc a link
     at some distance implies links at every shorter one, so the graph is
@@ -170,14 +196,8 @@ def run_trial(
     _check_arguments((model,), big_m, decider)
 
     headways = scenario.sample_headways(params, rng)
-    reach = channel.link_reach(params.budget, params.psi)
-    placement = scenario.placement_from_headways(headways, reach)
-    if model == UNIT_DISC:
-        snr = channel.snr_unit_disc(placement.distances, params.budget)
-    else:
-        snr = channel.snr_rayleigh(placement.distances, placement.ahead, params.budget, rng)
-    n = placement.n_vehicles
-    edges = graph.edges_from_snr(snr, params.psi, placement.i, placement.j, n)
+    edges = _trial_edges(headways, params, model, rng)
+    n = edges.n
 
     degrees = edges.degrees
     forward_links = np.bincount(edges.i, minlength=n)

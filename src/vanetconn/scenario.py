@@ -9,7 +9,10 @@ Erlang distribution.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .channel import LinkBudget
 
 __all__ = [
     "ScenarioParams",
+    "PairBlock",
     "Placement",
     "sample_headways",
     "placement_from_headways",
@@ -63,27 +67,89 @@ class ScenarioParams:
         object.__setattr__(self, "n_vehicles", max(2, round(self.rho * self.road_length)))
 
 
+# pairs per block of a pair window; a block holds whole rows, however long
+_BLOCK_PAIRS = 8192
+
+
+class PairBlock(NamedTuple):
+    """Consecutive rows of a pair window: their pairs and each row's lengths.
+
+    Row r of n vehicles has ``n - 1 - r`` pairs in the upper triangle
+    (``row_lengths``) and lists its first ``ahead`` of them, pairs (r, r + 1),
+    (r, r + 2), ...; ``i``, ``j`` and ``distances`` hold those pairs in order.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    distances: np.ndarray
+    ahead: np.ndarray
+    row_lengths: np.ndarray
+
+
 @dataclass(frozen=True)
 class Placement:
     """One sampled snapshot: spacings, coordinates and the pairs within reach.
 
     The pair window lists every pair (i, j), i < j, with
     ``positions[j] <= positions[i] + reach``, in row-major upper-triangle
-    order: row i holds its first ``ahead[i]`` successors.  ``distances`` is
-    ``positions[j] - positions[i]`` for those pairs.  This is the only pair
-    layout, shared by the channel draw and the edge list.
+    order: row i holds its first ``ahead[i]`` successors.  ``blocks`` yields
+    it a few thousand pairs at a time, whole rows each; ``i``, ``j`` and
+    ``distances`` (``positions[j] - positions[i]``) are the whole window,
+    built by the same rows on first access.  This is the only pair layout,
+    shared by the channel draw and the edge list.
     """
 
     headways: np.ndarray
     positions: np.ndarray
-    distances: np.ndarray
     ahead: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
 
     @property
     def n_vehicles(self) -> int:
         return self.positions.shape[0]
+
+    def _rows(self, start: int, stop: int) -> PairBlock:
+        """Pairs of window rows ``start`` to ``stop - 1``."""
+        ahead = self.ahead[start:stop]
+        rows = np.arange(start, stop)
+        i = np.repeat(rows, ahead)
+        # j runs i + 1, i + 2, ... within each row
+        row_start = np.cumsum(ahead) - ahead
+        j = np.arange(i.size) + np.repeat(rows + 1 - row_start, ahead)
+        distances = self.positions[j] - self.positions[i]
+        return PairBlock(i, j, distances, ahead, self.ahead.size - rows)
+
+    def blocks(self) -> Iterator[PairBlock]:
+        """The window in row order, in blocks of at most ``_BLOCK_PAIRS`` pairs.
+
+        A row longer than that is a block of its own.  Every row, including
+        those without pairs, lies in exactly one block.
+        """
+        ends = np.cumsum(self.ahead)
+        start = 0
+        while start < self.ahead.size:
+            limit = ends[start] - self.ahead[start] + _BLOCK_PAIRS
+            stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+            yield self._rows(start, stop)
+            start = stop
+
+    @cached_property
+    def _window(self) -> PairBlock:
+        window = self._rows(0, self.ahead.size)
+        for arr in (window.i, window.j, window.distances):
+            arr.flags.writeable = False
+        return window
+
+    @property
+    def i(self) -> np.ndarray:
+        return self._window.i
+
+    @property
+    def j(self) -> np.ndarray:
+        return self._window.j
+
+    @property
+    def distances(self) -> np.ndarray:
+        return self._window.distances
 
 
 def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndarray:
@@ -102,8 +168,9 @@ def placement_from_headways(headways: np.ndarray, reach: float) -> Placement:
 
     Positions are sorted, so row i of the window ends at the first vehicle
     past ``positions[i] + reach``; one ``searchsorted`` finds every row's
-    end, and time and memory are linear in the number of pairs listed.
-    ``reach = inf`` lists the whole upper triangle.
+    end.  The pairs themselves are built only when read, so this takes time
+    and memory linear in the vehicles.  ``reach = inf`` lists the whole
+    upper triangle.
     """
     headways = np.asarray(headways, dtype=float)
     if headways.ndim != 1 or headways.size < 1:
@@ -115,15 +182,10 @@ def placement_from_headways(headways: np.ndarray, reach: float) -> Placement:
     positions = np.concatenate(([0.0], np.cumsum(headways)))
     rows = np.arange(headways.size)
     ahead = np.searchsorted(positions, positions[:-1] + reach, side="right") - rows - 1
-    i = np.repeat(rows, ahead)
-    # j runs i + 1, i + 2, ... within each row
-    row_start = np.cumsum(ahead) - ahead
-    j = np.arange(i.size) + np.repeat(rows + 1 - row_start, ahead)
-    distances = positions[j] - positions[i]
     headways = headways.copy()
-    for arr in (headways, positions, distances, ahead, i, j):
+    for arr in (headways, positions, ahead):
         arr.flags.writeable = False
-    return Placement(headways, positions, distances, ahead, i, j)
+    return Placement(headways, positions, ahead)
 
 
 def _require_neighbor_index(m) -> int:

@@ -122,8 +122,8 @@ def test_rayleigh_matrix_reciprocity_and_seeding():
     # 15 distances are the whole pair triangle of 6 vehicles
     d = np.arange(1, 16) * 120.0
     ahead = np.array([5, 4, 3, 2, 1])
-    a = snr_rayleigh(d, ahead, BUDGET, np.random.default_rng(3))
-    b = snr_rayleigh(d, ahead, BUDGET, np.random.default_rng(3))
+    a = snr_rayleigh(d, ahead, ahead, BUDGET, np.random.default_rng(3))
+    b = snr_rayleigh(d, ahead, ahead, BUDGET, np.random.default_rng(3))
     assert np.array_equal(a, b)
     assert a.shape == d.shape
     assert np.all(a > 0.0)
@@ -131,15 +131,21 @@ def test_rayleigh_matrix_reciprocity_and_seeding():
     u = 1.0 - np.random.default_rng(3).random(d.size)
     assert np.array_equal(a, -snr_unit_disc(d, BUDGET) * np.log(u))
     # a window of pairs (0, 1), (0, 2), (1, 2), (3, 4) keeps their stream places
-    w = snr_rayleigh(d[[0, 1, 5, 12]], np.array([2, 1, 0, 1, 0]), BUDGET,
+    w = snr_rayleigh(d[[0, 1, 5, 12]], np.array([2, 1, 0, 1, 0]), ahead, BUDGET,
                      np.random.default_rng(3))
     assert np.array_equal(w, a[[0, 1, 5, 12]])
+    # so do rows 3 and 4 drawn after rows 0 to 2 have been
+    rng = np.random.default_rng(3)
+    snr_rayleigh(d[[0, 1, 5]], np.array([2, 1, 0]), ahead[:3], BUDGET, rng)
+    assert np.array_equal(snr_rayleigh(d[[12]], np.array([1, 0]), ahead[3:], BUDGET, rng),
+                          a[[12]])
 
 
 def test_coincident_vehicles_always_link():
     d = np.array([0.0])
     assert snr_unit_disc(d, BUDGET)[0] == math.inf
-    assert snr_rayleigh(d, np.array([1]), BUDGET, np.random.default_rng(0))[0] == math.inf
+    one = np.array([1])
+    assert snr_rayleigh(d, one, one, BUDGET, np.random.default_rng(0))[0] == math.inf
 
 
 def test_fading_factor_bound():
@@ -149,10 +155,14 @@ def test_fading_factor_bound():
     for ple in (1, 2, 3, 4, 6):
         budget = LinkBudget(tx_power=dbm_to_mw(33.0), noise_power=0.01, beta=10.0, ple=ple)
         for psi in (0.01, 1.0, db_to_linear(15.0), 1e4):
-            reach = link_reach(budget, psi)
+            reach = link_reach(budget, psi, fading=True)
             assert reach > unit_disc_range(budget, psi)
             # the strongest fade at the reach stays below the threshold
             assert -np.log(2.0**-53) * deterministic_snr(reach, budget) < psi
+            # the unit disc reaches just past its range, and no further
+            disc = link_reach(budget, psi, fading=False)
+            assert unit_disc_range(budget, psi) < disc < reach
+            assert deterministic_snr(disc, budget) < psi
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +176,9 @@ def test_pair_uniforms_keep_their_stream_places(n, seed):
     row_start = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
     k = np.arange(rows.size) - np.repeat(np.cumsum(ahead) - ahead, ahead) + row_start[rows]
     ours, dense = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-    assert np.array_equal(pair_uniforms(ahead, ours), dense.random(n * (n - 1) // 2)[k])
+    row_lengths = np.arange(n - 1, 0, -1)
+    expected = dense.random(n * (n - 1) // 2)[k]
+    assert np.array_equal(pair_uniforms(ahead, row_lengths, ours), expected)
     # the generator ends where the full draw leaves it
     assert ours.random() == dense.random()
 

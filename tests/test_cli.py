@@ -239,6 +239,18 @@ def test_simulate_matches_golden_digest(tmp_path, decider):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE[decider]
 
 
+# 600 vehicles at 0 dB: a fading window of 121 040 pairs, thresholded in
+# about fifteen blocks; recorded before the window was built in blocks
+GOLDEN_SIMULATE_MANY_BLOCKS = "40940897c1f017cb4586c19a380cdb26871c11e2abd0fed3eeedfec7086d6bd2"
+
+
+def test_simulate_over_many_blocks_matches_golden_digest(tmp_path):
+    code, out = _run(tmp_path, "simulate", "--rho", "0.03", "--length-m", "20000",
+                     "--psi-db", "0", "--trials", "3", "--big-m", "3", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE_MANY_BLOCKS
+
+
 # SHA-256 of the CSV bytes of analytic grids.  They were recorded while the
 # closed form's deep cancellations were re-summed in mpmath at up to 640
 # digits and every vehicle-connectivity product ran its own quadratures; the

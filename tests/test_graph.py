@@ -165,6 +165,18 @@ def test_components_and_eigen_agree_including_long_chains():
         assert is_connected(e) == (components == 1)
 
 
+def test_component_count_does_not_depend_on_edge_order():
+    rng = np.random.default_rng(58)
+    for _ in range(100):
+        g = _random_graph(rng)
+        order = rng.permutation(g.i.size)
+        shuffled = EdgeList(n=g.n, i=g.i[order], j=g.j[order])
+        assert count_components(shuffled) == count_components(g)
+    # a path listed back to front is one component
+    chain = _path_edges(50)
+    assert count_components(EdgeList(n=50, i=chain.i[::-1], j=chain.j[::-1])) == 1
+
+
 def test_spectral_ceiling_is_derived_from_the_mohar_bound():
     # a path has max degree 2, so the tolerance bound is 4e-8 against 4 / (n (n - 1))
     check_spectral_ceiling(10_000, 2)

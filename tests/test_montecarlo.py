@@ -7,8 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from vanetconn import analytic, channel, montecarlo
-from vanetconn.graph import edges_from_snr
+from vanetconn import analytic, montecarlo, scenario
 from vanetconn.montecarlo import (
     MODELS,
     RAYLEIGH,
@@ -19,7 +18,7 @@ from vanetconn.montecarlo import (
     trial_rng,
     wilson_interval,
 )
-from vanetconn.scenario import placement_from_headways, sample_headways
+from vanetconn.scenario import sample_headways
 
 ARRAYS = ("connected", "mismatch", "linked_by_gap", "n_isolated_two_side",
           "n_isolated_forward", "degree_mean_interior")
@@ -59,10 +58,7 @@ def test_fading_edges_can_jump_over_an_isolated_vehicle(make_params):
     params = make_params(rho=0.005, psi_db=5.0)
     n = params.n_vehicles
     rng = trial_rng(3, 188)
-    reach = channel.link_reach(params.budget, params.psi)
-    placement = placement_from_headways(sample_headways(params, rng), reach)
-    snr = channel.snr_rayleigh(placement.distances, placement.ahead, params.budget, rng)
-    edges = edges_from_snr(snr, params.psi, placement.i, placement.j, n)
+    edges = montecarlo._trial_edges(sample_headways(params, rng), params, RAYLEIGH, rng)
     crossings = np.cumsum(np.bincount(edges.i, minlength=n) - np.bincount(edges.j, minlength=n))
     assert np.all(crossings[:-1] > 0)
 
@@ -86,16 +82,6 @@ def _full_triangle_edges(headways, params, model, rng):
     return i[linked], j[linked]
 
 
-def _window_edges(headways, params, model, rng):
-    reach = channel.link_reach(params.budget, params.psi)
-    p = placement_from_headways(headways, reach)
-    if model == UNIT_DISC:
-        snr = channel.snr_unit_disc(p.distances, params.budget)
-    else:
-        snr = channel.snr_rayleigh(p.distances, p.ahead, params.budget, rng)
-    return edges_from_snr(snr, params.psi, p.i, p.j, p.n_vehicles)
-
-
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -116,8 +102,31 @@ def test_pair_window_is_exact(make_params, n, mean_gap, psi_db, ple, model, coin
     headways = rng.exponential(mean_gap, n - 1)
     headways[rng.integers(0, n - 1, coincident)] = 0.0
     ref_i, ref_j = _full_triangle_edges(headways, params, model, np.random.default_rng([seed, 1]))
-    edges = _window_edges(headways, params, model, np.random.default_rng([seed, 1]))
+    edges = montecarlo._trial_edges(headways, params, model, np.random.default_rng([seed, 1]))
     assert np.array_equal(edges.i, ref_i) and np.array_equal(edges.j, ref_j)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 10**9])
+def test_trial_does_not_depend_on_the_block_size(monkeypatch, make_params, block_pairs):
+    # 300 vehicles: about 12 000 window pairs on the unit disc and 45 000
+    # under fading, so the default block size splits both windows too
+    params = make_params(rho=0.03, psi_db=0.0, road_length=300 / 0.03)
+
+    def trial(model, decider):
+        rng = trial_rng(5, 2)
+        outcome = run_trial(params, model, rng, big_m=4, decider=decider)
+        # a dropped advance after the last row would move the next draw
+        return vars(outcome), rng.random()
+
+    cases = [(model, decider) for model in MODELS for decider in ("components", "both")]
+    expected = [trial(*case) for case in cases]
+    monkeypatch.setattr(scenario, "_BLOCK_PAIRS", block_pairs)
+    for case, (want, want_next) in zip(cases, expected):
+        got, got_next = trial(*case)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (case, key)
+        assert got_next == want_next, case
 
 
 def test_trial_matches_the_full_triangle(make_params):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vanetconn import scenario
 from vanetconn.scenario import (
+    PairBlock,
     erlang_cdf,
     erlang_pdf,
     placement_from_headways,
@@ -119,6 +121,21 @@ def test_infinite_reach_window_is_the_upper_triangle():
     p = placement_from_headways(np.ones(4), 0.5)
     assert p.i.size == 0 and p.j.size == 0 and p.distances.size == 0
     assert p.ahead.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("block_pairs", [1, 3, 10**9])
+def test_blocks_tile_the_window_in_whole_rows(monkeypatch, block_pairs):
+    # a coincident pair, a row of three pairs and two rows without any at the end
+    headways = [1.0, 1.0, 0.0, 5.0, 1.0, 1.0, 9.0, 9.0]
+    p = placement_from_headways(headways, 2.5)
+    monkeypatch.setattr(scenario, "_BLOCK_PAIRS", block_pairs)
+    blocks = list(p.blocks())
+    assert all(b.i.size <= block_pairs or b.ahead.size == 1 for b in blocks)
+    tiled = PairBlock(*map(np.concatenate, zip(*blocks)))
+    assert np.array_equal(tiled.ahead, p.ahead) and tiled.ahead.tolist()[-2:] == [0, 0]
+    assert np.array_equal(tiled.row_lengths, np.arange(len(headways), 0, -1))
+    for name in ("i", "j", "distances"):
+        assert np.array_equal(getattr(tiled, name), getattr(p, name))
 
 
 def test_placement_arrays_are_locked():
