@@ -90,9 +90,10 @@ def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
     return _p_sl_rayleigh(params, _require_neighbor_index(m))
 
 
-# An analytic point reads each p_sl_rayleigh(params, m) three times: in its
-# own row and in both vehicle-connectivity products.  256 entries hold every
-# m of a point up to big_m = 256; a larger span only recomputes.
+# An analytic point reads each (params, m) entry three times: through
+# p_sl_rayleigh in its own row, and directly in both vehicle-connectivity
+# products.  256 entries hold every m of a point up to big_m = 256; a larger
+# span only recomputes.
 @functools.lru_cache(maxsize=256)
 def _p_sl_rayleigh(params: ScenarioParams, m: int) -> float:
     rho = params.rho
@@ -253,7 +254,7 @@ def avg_node_degree(params: ScenarioParams) -> float:
 def _one_side_disconnect(params: ScenarioParams, big_m: int) -> float:
     prod = 1.0
     for m in range(1, _require_neighbor_index(big_m) + 1):
-        prod *= max(0.0, 1.0 - p_sl_rayleigh(params, m))
+        prod *= max(0.0, 1.0 - _p_sl_rayleigh(params, m))
     return prod
 
 

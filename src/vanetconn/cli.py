@@ -38,7 +38,6 @@ SIMULATE_HEADER = [
 # the flags that set the grid, with the grid they give when none is set
 _GRID_FLAGS = {"rho": "--rho", "psi_db": "--psi-db", "model": "--model"}
 _DEFAULT_GRID = {"rho": [0.019], "psi_db": [5.0, 15.0], "model": "both"}
-_Z95 = montecarlo._Z95
 # ScenarioParams names the field it rejects; report the flag that set it
 _FLAG_OF_FIELD = {
     "rho": "--rho",
@@ -53,21 +52,22 @@ _FLAG_OF_FIELD = {
 
 # the most points one range may list; its count is checked before any is built
 _MAX_RANGE_POINTS = 10**6
-# the numerical backend each command computes with, imported while its
-# arguments are parsed so that no import lands inside the computation
-_BACKENDS = {
-    "analytic": (numerics._quad,),
-    "simulate": (graph._csgraph,),
-}
 
 
 class _LoadingSubcommand(argparse._SubParsersAction):
-    """Dispatches to a subcommand's parser, then imports that command's backend."""
+    """Dispatches to a subcommand's parser, then imports the backend it computes with.
+
+    The import happens while the arguments are parsed, so that none lands
+    inside the computation.  A simulation imports csgraph only where a trial
+    counts components.
+    """
 
     def __call__(self, parser, namespace, values, option_string=None):
         super().__call__(parser, namespace, values, option_string)
-        for load in _BACKENDS[values[0]]:
-            load()
+        if namespace.command == "analytic":
+            numerics._quad()
+        elif montecarlo.counts_components(_models(namespace), namespace.decider):
+            graph._csgraph()
 
 
 def _parse_value_spec(text: str) -> list[float]:
@@ -177,7 +177,8 @@ def _grid(args) -> list[tuple[float, float]]:
 
 
 def _models(args) -> tuple[str, ...]:
-    if args.model == "both":
+    # while parsing, a preset or an unset --model leaves None: both models
+    if args.model in (None, "both"):
         return montecarlo.MODELS
     return (args.model,)
 
@@ -204,49 +205,46 @@ def _make_params(args, rho: float, psi_db: float) -> ScenarioParams:
 
 def _analytic_rows(args, points):
     big_m = args.big_m
+    neighbours = range(1, big_m + 1)
+    models = _models(args)
     for rho, psi_db, params in points:
-        r = analytic.communication_range(params)
         point = {"rho": _fmt(rho), "psi_db": _fmt(psi_db)}
-        if "unit_disc" in _models(args):
-            yield {**point, "model": "unit_disc", "m_or_M": "",
-                   "metric": "unit_disc_range_m", "value": _fmt(r)}
-            for m in range(1, big_m + 1):
-                yield {**point, "model": "unit_disc", "m_or_M": str(m),
-                       "metric": "p_single_link", "value": _fmt(analytic.p_sl_ud_mth(params, m))}
-            for m in range(1, big_m + 1):
-                yield {**point, "model": "unit_disc", "m_or_M": str(m),
-                       "metric": "avg_snr", "value": _snr_value(analytic.avg_snr_ud, params, m)}
-            yield {**point, "model": "unit_disc", "m_or_M": "",
-                   "metric": "p_network", "value": _fmt(analytic.p_network_ud(params))}
-            yield {**point, "model": "unit_disc", "m_or_M": "",
-                   "metric": "p_vehicle_one_side", "value": _fmt(analytic.p_sl_ud_mth(params, 1))}
-            yield {**point, "model": "unit_disc", "m_or_M": "",
-                   "metric": "avg_node_degree", "value": _fmt(2.0 * rho * r)}
-        if "rayleigh" in _models(args):
-            for m in range(1, big_m + 1):
-                yield {**point, "model": "rayleigh", "m_or_M": str(m),
-                       "metric": "p_single_link", "value": _fmt(analytic.p_sl_rayleigh(params, m))}
+
+        # value is a float, or the text of an average SNR that diverges
+        def emit(model, m, metric, value):
+            return {**point, "model": model, "m_or_M": "" if m is None else str(m),
+                    "metric": metric, "value": value if isinstance(value, str) else _fmt(value)}
+
+        r = analytic.communication_range(params)
+        if "unit_disc" in models:
+            yield emit("unit_disc", None, "unit_disc_range_m", r)
+            for m in neighbours:
+                yield emit("unit_disc", m, "p_single_link", analytic.p_sl_ud_mth(params, m))
+            for m in neighbours:
+                yield emit("unit_disc", m, "avg_snr", _snr_value(analytic.avg_snr_ud, params, m))
+            yield emit("unit_disc", None, "p_network", analytic.p_network_ud(params))
+            yield emit("unit_disc", None, "p_vehicle_one_side", analytic.p_sl_ud_mth(params, 1))
+            yield emit("unit_disc", None, "avg_node_degree", 2.0 * rho * r)
+        if "rayleigh" in models:
+            for m in neighbours:
+                yield emit("rayleigh", m, "p_single_link", analytic.p_sl_rayleigh(params, m))
             if params.ple == 2:
-                for m in range(1, big_m + 1):
-                    yield {**point, "model": "rayleigh", "m_or_M": str(m),
-                           "metric": "p_single_link_closed",
-                           "value": _fmt(analytic.p_sl_rayleigh_closed_alpha2(params, m))}
-            for m in range(1, big_m + 1):
-                yield {**point, "model": "rayleigh", "m_or_M": str(m),
-                       "metric": "avg_snr", "value": _snr_value(analytic.avg_snr_rayleigh, params, m)}
-            yield {**point, "model": "rayleigh", "m_or_M": "",
-                   "metric": "avg_node_degree", "value": _fmt(analytic.avg_node_degree(params))}
-            yield {**point, "model": "rayleigh", "m_or_M": str(big_m),
-                   "metric": "p_vehicle_one_side",
-                   "value": _fmt(analytic.p_vehicle_one_side_rayleigh(params, big_m))}
-            yield {**point, "model": "rayleigh", "m_or_M": str(big_m),
-                   "metric": "p_vehicle_two_side",
-                   "value": _fmt(analytic.p_vehicle_rayleigh(params, big_m))}
+                for m in neighbours:
+                    yield emit("rayleigh", m, "p_single_link_closed",
+                               analytic.p_sl_rayleigh_closed_alpha2(params, m))
+            for m in neighbours:
+                yield emit("rayleigh", m, "avg_snr",
+                           _snr_value(analytic.avg_snr_rayleigh, params, m))
+            yield emit("rayleigh", None, "avg_node_degree", analytic.avg_node_degree(params))
+            yield emit("rayleigh", big_m, "p_vehicle_one_side",
+                       analytic.p_vehicle_one_side_rayleigh(params, big_m))
+            yield emit("rayleigh", big_m, "p_vehicle_two_side",
+                       analytic.p_vehicle_rayleigh(params, big_m))
 
 
-def _snr_value(fn, params, m) -> str:
+def _snr_value(fn, params, m) -> float | str:
     try:
-        return _fmt(fn(params, m))
+        return fn(params, m)
     except DivergentMeanError:
         return "diverges"
 
@@ -291,9 +289,8 @@ def _simulate_rows(args, points):
         two = result.vehicle_connectivity(side="two")
         yield emit("vehicle_connectivity_two_side", two.estimate, two.ci_lo, two.ci_hi)
         deg = result.node_degree()
-        yield emit("mean_node_degree", deg.mean,
-                   deg.mean - _Z95 * deg.std_error, deg.mean + _Z95 * deg.std_error)
-        for m in range(1, min(args.big_m, row.params.n_vehicles - 1) + 1):
+        yield emit("mean_node_degree", deg.mean, deg.ci_lo, deg.ci_hi)
+        for m in range(1, result.linked_by_gap.shape[1] + 1):
             link = result.single_link(m)
             yield emit(f"single_link_m{m}", link.estimate, link.ci_lo, link.ci_hi)
 

@@ -22,7 +22,6 @@ __all__ = [
     "edges_from_snr",
     "edges_from_adjacency",
     "count_components",
-    "laplacian_eigenvalues",
     "check_spectral_ceiling",
     "count_partitions_eigen",
     "is_connected",
@@ -115,11 +114,6 @@ def count_components(g: EdgeList) -> int:
     return int(connected_components(adjacency, directed=False, return_labels=False))
 
 
-def laplacian_eigenvalues(g: EdgeList) -> np.ndarray:
-    """All Laplacian eigenvalues, ascending; raises on eigensolver failure."""
-    return np.linalg.eigvalsh(g.laplacian)
-
-
 def check_spectral_ceiling(n: int, max_degree: int) -> None:
     """Raise SpectralCeilingError where the zero test could misread a connected graph.
 
@@ -147,7 +141,7 @@ def count_partitions_eigen(g: EdgeList) -> int:
     the ceiling check runs first.
     """
     check_spectral_ceiling(g.n, int(g.degrees.max()))
-    eigenvalues = laplacian_eigenvalues(g)
+    eigenvalues = np.linalg.eigvalsh(g.laplacian)
     tol = _RELATIVE_ZERO_TOL * max(1.0, float(eigenvalues[-1]))
     return int(np.count_nonzero(np.abs(eigenvalues) < tol))
 

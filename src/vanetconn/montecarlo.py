@@ -33,6 +33,7 @@ __all__ = [
     "EnsembleResult",
     "SweepRow",
     "wilson_interval",
+    "counts_components",
     "run_trial",
     "run_ensemble",
     "sweep",
@@ -78,10 +79,12 @@ class EnsembleEstimate:
 
 @dataclass(frozen=True)
 class MeanEstimate:
-    """Sample mean with its standard error across trials."""
+    """Sample mean with its standard error across trials and its 95% normal interval."""
 
     mean: float
     std_error: float
+    ci_lo: float
+    ci_hi: float
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -99,17 +102,21 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
-def _cluster_interval(fractions: np.ndarray) -> tuple[float, float, float]:
+def _trial_mean(values: np.ndarray) -> MeanEstimate:
+    """Mean of one value per trial; the standard error is 0 for a single trial."""
+    mean = float(values.mean())
+    se = float(values.std(ddof=1)) / math.sqrt(values.size) if values.size > 1 else 0.0
+    return MeanEstimate(mean, se, mean - _Z95 * se, mean + _Z95 * se)
+
+
+def _cluster_interval(fractions: np.ndarray) -> EnsembleEstimate:
     """Mean of per-trial fractions with a normal interval on the trial means.
 
     Pairs or vehicles inside one trial share headways, so they are dependent;
     the trials themselves are i.i.d. and carry the valid standard error.
     """
-    mean = float(fractions.mean())
-    if fractions.size < 2:
-        return mean, mean, mean
-    se = float(fractions.std(ddof=1)) / math.sqrt(fractions.size)
-    return mean, max(0.0, mean - _Z95 * se), min(1.0, mean + _Z95 * se)
+    est = _trial_mean(fractions)
+    return EnsembleEstimate(est.mean, max(0.0, est.ci_lo), min(1.0, est.ci_hi))
 
 
 def _check_arguments(models, big_m: int, decider: str, trials: int = 1, master_seed: int = 0):
@@ -173,6 +180,15 @@ def _trial_edges(
     )
 
 
+def counts_components(models, decider: str) -> bool:
+    """Whether a trial of any of ``models`` under ``decider`` counts components.
+
+    Only the exact decision on a fading graph needs ``graph.count_components``;
+    the unit disc reads its successive links and ``eigen`` the spectrum.
+    """
+    return decider != "eigen" and RAYLEIGH in models
+
+
 def run_trial(
     params: ScenarioParams,
     model: str,
@@ -204,18 +220,15 @@ def run_trial(
     # gaps run 1..n-1, so the counts are sized by n, never by big_m
     linked = np.bincount(edges.j - edges.i, minlength=n)[1 : big_m + 1]
 
-    mismatch = False
-    if decider == "eigen":
+    if counts_components((model,), decider):
+        connected = graph.count_components(edges) == 1
+    elif decider == "eigen":
         connected = graph.is_connected(edges)
     else:
-        if model == UNIT_DISC:
-            # lag-1 pair distances are np.diff(positions), not the headways,
-            # which differ from them by cumsum rounding
-            connected = bool(linked[0] == n - 1)
-        else:
-            connected = graph.count_components(edges) == 1
-        if decider == "both":
-            mismatch = graph.is_connected(edges) != connected
+        # lag-1 pair distances are np.diff(positions), not the headways,
+        # which differ from them by cumsum rounding
+        connected = bool(linked[0] == n - 1)
+    mismatch = decider == "both" and graph.is_connected(edges) != connected
 
     return TrialOutcome(
         connected=connected,
@@ -292,7 +305,7 @@ class EnsembleResult:
         if eligible < 1:
             raise ValueError(f"no (i, i+{m}) pairs exist for N={self.params.n_vehicles}")
         counts = self.linked_by_gap[:, m - 1].astype(float)
-        return EnsembleEstimate(*_cluster_interval(counts / eligible))
+        return _cluster_interval(counts / eligible)
 
     def node_degree(self) -> MeanEstimate:
         """Mean degree over the vehicles inside ``default_interior_margin``.
@@ -300,9 +313,7 @@ class EnsembleResult:
         Vehicles near the segment ends miss neighbours on one side, which
         would bias the average low against the infinite-road expectation.
         """
-        means = self.degree_mean_interior
-        se = float(means.std(ddof=1)) / math.sqrt(self.trials) if self.trials > 1 else 0.0
-        return MeanEstimate(float(means.mean()), se)
+        return _trial_mean(self.degree_mean_interior)
 
     def vehicle_connectivity(self, side: str = "two") -> EnsembleEstimate:
         """Share of vehicles with a linked neighbour: on either side, or ahead (``side="one"``)."""
@@ -315,7 +326,7 @@ class EnsembleResult:
             eligible = n - 1
         else:
             raise ValueError(f"side must be 'one' or 'two', got {side!r}")
-        return EnsembleEstimate(*_cluster_interval(1.0 - isolated / eligible))
+        return _cluster_interval(1.0 - isolated / eligible)
 
     def decider_mismatches(self) -> int:
         return int(np.count_nonzero(self.mismatch))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -93,10 +92,8 @@ class Placement:
     The pair window lists every pair (i, j), i < j, with
     ``positions[j] <= positions[i] + reach``, in row-major upper-triangle
     order: row i holds its first ``ahead[i]`` successors.  ``blocks`` yields
-    it a few thousand pairs at a time, whole rows each; ``i``, ``j`` and
-    ``distances`` (``positions[j] - positions[i]``) are the whole window,
-    built by the same rows on first access.  This is the only pair layout,
-    shared by the channel draw and the edge list.
+    it a few thousand pairs at a time, whole rows each; it is the only pair
+    layout, shared by the channel draw and the edge list.
     """
 
     headways: np.ndarray
@@ -132,24 +129,15 @@ class Placement:
             yield self._rows(start, stop)
             start = stop
 
-    @cached_property
-    def _window(self) -> PairBlock:
-        window = self._rows(0, self.ahead.size)
-        for arr in (window.i, window.j, window.distances):
-            arr.flags.writeable = False
-        return window
-
-    @property
-    def i(self) -> np.ndarray:
-        return self._window.i
-
-    @property
-    def j(self) -> np.ndarray:
-        return self._window.j
-
     @property
     def distances(self) -> np.ndarray:
-        return self._window.distances
+        """``positions[j] - positions[i]`` over the whole window, built on every read.
+
+        Trials read the window only through ``blocks``.  This stays because
+        ``bench/spans.py`` sizes a placement by its ``headways``,
+        ``positions`` and ``distances``.
+        """
+        return self._rows(0, self.ahead.size).distances
 
 
 def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndarray:

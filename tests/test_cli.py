@@ -300,6 +300,23 @@ def test_analytic_point_runs_one_quadrature_per_neighbour(tmp_path, monkeypatch)
     assert len(calls) == 10
 
 
+def test_vehicle_rows_read_the_link_memo_directly(tmp_path, monkeypatch):
+    # p_sl_rayleigh runs once per neighbour, for the p_single_link rows only;
+    # the vehicle-connectivity products read its memo without the public call
+    calls = []
+    p_sl_rayleigh = analytic.p_sl_rayleigh
+
+    def counting(params, m=1):
+        calls.append(m)
+        return p_sl_rayleigh(params, m)
+
+    monkeypatch.setattr(analytic, "p_sl_rayleigh", counting)
+    code, _ = _run(tmp_path, "analytic", "--rho", "0.019", "--psi-db", "15",
+                   "--model", "rayleigh", "--big-m", "3")
+    assert code == 0
+    assert calls == [1, 2, 3]
+
+
 def test_failed_cell_is_an_error_row_and_the_grid_continues(tmp_path):
     # N = 800 with every pair linked is past the spectral decider's ceiling
     args = ["--psi-db", "-250", "--trials", "2", "--decider", "eigen", "--model", "unit_disc"]

@@ -3,8 +3,8 @@
 The ensemble needs only ``scipy.sparse.csgraph``; the closed forms need
 only ``scipy.integrate``, and nothing at run time needs ``mpmath``.  Each
 backend is imported by the module that uses it on first use, by the CLI while
-it parses a command's arguments, and by the ensemble before it opens a
-process pool.
+it parses a command's arguments (csgraph only where a trial counts
+components), and by the ensemble before it opens a process pool.
 """
 
 import json
@@ -44,13 +44,11 @@ def test_package_import_loads_no_backend():
     assert found == ["vanetconn.numerics"]
 
 
-@pytest.mark.parametrize("command, at_parse, absent", [
-    ("simulate", ["scipy.sparse.csgraph"], ["mpmath", "scipy.integrate"]),
-    ("analytic", ["scipy.integrate"], ["mpmath", "scipy.sparse.csgraph"]),
-])
-def test_cli_loads_its_command_backend_while_parsing(command, at_parse, absent):
-    marks = _run(f"""
-        import argparse, os
+def _run_cli(argv: list[str]) -> dict:
+    """``cli.main(argv)`` in a fresh interpreter: its exit code, and loaded()
+    once the arguments are parsed and at exit."""
+    return _run(f"""
+        import argparse
         marks = {{}}
         parse_args = argparse.ArgumentParser.parse_args
 
@@ -61,16 +59,39 @@ def test_cli_loads_its_command_backend_while_parsing(command, at_parse, absent):
 
         argparse.ArgumentParser.parse_args = stamped
         from vanetconn import cli
-        code = cli.main([{command!r}, "--rho", "0.019", "--psi-db", "15", "--big-m", "2",
-                         *(["--trials", "2"] if {command!r} == "simulate" else []),
-                         "--out", os.devnull])
+        marks["code"] = cli.main({argv!r})
         marks["exit"] = loaded()
-        marks["code"] = code
         print(json.dumps(marks))
     """)
+
+
+@pytest.mark.parametrize("command, at_parse, absent", [
+    ("simulate", ["scipy.sparse.csgraph"], ["mpmath", "scipy.integrate"]),
+    ("analytic", ["scipy.integrate"], ["mpmath", "scipy.sparse.csgraph"]),
+])
+def test_cli_loads_its_command_backend_while_parsing(command, at_parse, absent):
+    marks = _run_cli([command, "--rho", "0.019", "--psi-db", "15", "--big-m", "2",
+                      *(["--trials", "2"] if command == "simulate" else []),
+                      "--out", os.devnull])
     assert marks["code"] == 0
     assert set(at_parse) <= set(marks["parsed"])
     assert not set(absent) & set(marks["exit"])
+
+
+@pytest.mark.parametrize("args, counts", [
+    (["--rho", "0.019", "--psi-db", "15", "--model", "unit_disc"], False),
+    (["--rho", "0.019", "--psi-db", "15", "--decider", "eigen"], False),
+    (["--rho", "0.019", "--psi-db", "15", "--model", "unit_disc", "--decider", "both"], False),
+    (["--rho", "0.019", "--psi-db", "15", "--model", "rayleigh", "--decider", "both"], True),
+    (["--rho", "0.019", "--psi-db", "15", "--model", "both"], True),
+    # a preset runs both models
+    (["--preset", "density-sweep", "--length-m", "500"], True),
+])
+def test_simulate_loads_csgraph_only_where_a_trial_counts_components(args, counts):
+    marks = _run_cli(["simulate", *args, "--big-m", "2", "--trials", "2", "--out", os.devnull])
+    assert marks["code"] == 0
+    assert ("scipy.sparse.csgraph" in marks["parsed"]) == counts
+    assert ("scipy.sparse.csgraph" in marks["exit"]) == counts
 
 
 @pytest.mark.parametrize("call", [

@@ -61,12 +61,19 @@ def test_headways_deterministic_for_fixed_seed(make_params):
     assert np.all(a > 0)
 
 
+def _pairs(placement):
+    """The window's (i, j) pairs, concatenated over its blocks."""
+    blocks = list(placement.blocks())
+    return np.concatenate([b.i for b in blocks]), np.concatenate([b.j for b in blocks])
+
+
 def test_placement_prefix_sums():
     p = placement_from_headways([10.0, 20.0], math.inf)
     assert np.array_equal(p.positions, [0.0, 10.0, 30.0])
     # pairs (0, 1), (0, 2), (1, 2)
     assert p.distances.tolist() == [10.0, 30.0, 20.0]
-    assert p.i.tolist() == [0, 0, 1] and p.j.tolist() == [1, 2, 2]
+    i, j = _pairs(p)
+    assert i.tolist() == [0, 0, 1] and j.tolist() == [1, 2, 2]
     # a 25 m reach drops the 30 m pair (0, 2)
     q = placement_from_headways([10.0, 20.0], 25.0)
     assert q.ahead.tolist() == [1, 1]
@@ -106,20 +113,23 @@ def test_placement_symmetry_and_invariants():
         w = placement_from_headways(headways, reach)
         rows, cols = np.triu_indices(q.n_vehicles, 1)
         keep = q.positions[cols] <= q.positions[rows] + reach
-        assert np.array_equal(w.i, rows[keep]) and np.array_equal(w.j, cols[keep])
+        i, j = _pairs(w)
+        assert np.array_equal(i, rows[keep]) and np.array_equal(j, cols[keep])
         assert np.array_equal(w.distances, q.distances[keep])
-        assert np.array_equal(w.ahead, np.bincount(w.i, minlength=q.n_vehicles - 1))
+        assert np.array_equal(w.ahead, np.bincount(i, minlength=q.n_vehicles - 1))
 
 
 def test_infinite_reach_window_is_the_upper_triangle():
     for n in (2, 3, 7, 40):
         p = placement_from_headways(np.ones(n - 1), math.inf)
         rows, cols = np.triu_indices(n, 1)
-        assert np.array_equal(p.i, rows) and np.array_equal(p.j, cols)
+        i, j = _pairs(p)
+        assert np.array_equal(i, rows) and np.array_equal(j, cols)
         assert p.ahead.tolist() == list(range(n - 1, 0, -1))
     # a reach shorter than every headway leaves no pair at all
     p = placement_from_headways(np.ones(4), 0.5)
-    assert p.i.size == 0 and p.j.size == 0 and p.distances.size == 0
+    i, j = _pairs(p)
+    assert i.size == 0 and j.size == 0 and p.distances.size == 0
     assert p.ahead.tolist() == [0, 0, 0, 0]
 
 
@@ -134,13 +144,16 @@ def test_blocks_tile_the_window_in_whole_rows(monkeypatch, block_pairs):
     tiled = PairBlock(*map(np.concatenate, zip(*blocks)))
     assert np.array_equal(tiled.ahead, p.ahead) and tiled.ahead.tolist()[-2:] == [0, 0]
     assert np.array_equal(tiled.row_lengths, np.arange(len(headways), 0, -1))
-    for name in ("i", "j", "distances"):
-        assert np.array_equal(getattr(tiled, name), getattr(p, name))
+    # the triangle pairs within reach, in order; distances as one row range
+    rows, cols = np.triu_indices(p.n_vehicles, 1)
+    keep = p.positions[cols] <= p.positions[rows] + 2.5
+    assert np.array_equal(tiled.i, rows[keep]) and np.array_equal(tiled.j, cols[keep])
+    assert np.array_equal(tiled.distances, p.distances)
 
 
 def test_placement_arrays_are_locked():
     p = placement_from_headways([1.0, 2.0], math.inf)
-    for arr in (p.distances, p.positions, p.ahead, p.i, p.j):
+    for arr in (p.headways, p.positions, p.ahead):
         with pytest.raises(ValueError):
             arr[0] = 99
 
