@@ -15,7 +15,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import analytic, channel, graph, montecarlo, numerics
+from . import analytic, channel, montecarlo, numerics
 from .analytic import DivergentMeanError
 from .scenario import ScenarioParams
 
@@ -58,16 +58,14 @@ class _LoadingSubcommand(argparse._SubParsersAction):
     """Dispatches to a subcommand's parser, then imports the backend it computes with.
 
     The import happens while the arguments are parsed, so that none lands
-    inside the computation.  A simulation imports csgraph only where a trial
-    counts components.
+    inside the computation.  Only ``analytic`` has one, ``scipy.integrate``;
+    ``simulate`` computes with numpy alone.
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
         super().__call__(parser, namespace, values, option_string)
         if namespace.command == "analytic":
             numerics._quad()
-        elif montecarlo.counts_components(_models(namespace), namespace.decider):
-            graph._csgraph()
 
 
 def _parse_value_spec(text: str) -> list[float]:
@@ -177,8 +175,7 @@ def _grid(args) -> list[tuple[float, float]]:
 
 
 def _models(args) -> tuple[str, ...]:
-    # while parsing, a preset or an unset --model leaves None: both models
-    if args.model in (None, "both"):
+    if args.model == "both":
         return montecarlo.MODELS
     return (args.model,)
 

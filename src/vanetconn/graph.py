@@ -1,8 +1,8 @@
 """Snapshot graphs and the connectivity deciders.
 
 A trial's graph is an edge list thresholded from the SNR of a pair window.
-The exact decider counts its connected components with scipy's
-``connected_components``.  The spectral decider follows the Laplacian route:
+The exact decider counts its connected components over the edge arrays, in
+numpy alone.  The spectral decider follows the Laplacian route:
 the number of zero eigenvalues equals the number of connected components, so
 a graph is connected exactly when one eigenvalue is zero (its algebraic
 connectivity, the second-smallest, is positive).  It needs a dense Laplacian
@@ -12,7 +12,7 @@ and a tolerance for "zero", and serves as the cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -81,37 +81,28 @@ def edges_from_adjacency(adjacency: np.ndarray) -> EdgeList:
     return EdgeList(n=a.shape[0], i=i, j=j)
 
 
-@cache
-def _csgraph():
-    """``scipy.sparse.csr_array`` and ``connected_components``, imported on first use.
-
-    Only the ensemble counts components, so the closed forms never pay for
-    ``scipy.sparse.csgraph``.  A process pool inherits the import when the
-    parent calls this before forking.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    return csr_array, connected_components
-
-
 def count_components(g: EdgeList) -> int:
-    """Exact number of connected components.
+    """Exact number of connected components, from the edge arrays alone.
 
-    The edges become CSR rows directly when they come in row order, as a
-    trial lists them; any other order is sorted by row first.
+    Min-label hooking and pointer jumping (Shiloach & Vishkin 1982): each
+    edge whose ends lie under two roots hooks the larger root onto the
+    smaller, then every vertex jumps to its root, until no edge joins two
+    roots.  Only crossing edges hook: an edge inside a component would write
+    its root onto itself and could undo a hook to that root made in the same
+    assignment.
     """
-    csr_array, connected_components = _csgraph()
-    i, j = g.i, g.j
-    if np.any(i[1:] < i[:-1]):
-        order = np.argsort(i, kind="stable")
-        i, j = i[order], j[order]
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(i, minlength=g.n), out=indptr[1:])
-    # csgraph reads the index buffer as is, so it must be contiguous
-    indices = np.ascontiguousarray(j)
-    adjacency = csr_array((np.ones(j.size), indices, indptr), shape=(g.n, g.n))
-    return int(connected_components(adjacency, directed=False, return_labels=False))
+    vertices = np.arange(g.n)
+    parent = vertices.copy()
+    while True:
+        ri, rj = parent[g.i], parent[g.j]
+        cross = ri != rj
+        if not cross.any():
+            return int(np.count_nonzero(parent == vertices))
+        ri, rj = ri[cross], rj[cross]
+        parent[np.maximum(ri, rj)] = np.minimum(ri, rj)
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
 
 
 def check_spectral_ceiling(n: int, max_degree: int) -> None:

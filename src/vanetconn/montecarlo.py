@@ -19,6 +19,10 @@ from functools import partial
 
 import numpy as np
 
+# numpy 2 loads numpy.random on first use; importing it here keeps that
+# import out of the first trial
+from numpy.random import default_rng
+
 from . import channel, graph, scenario
 from .scenario import ScenarioParams
 
@@ -33,7 +37,6 @@ __all__ = [
     "EnsembleResult",
     "SweepRow",
     "wilson_interval",
-    "counts_components",
     "run_trial",
     "run_ensemble",
     "sweep",
@@ -138,19 +141,9 @@ def _pool_size(workers: int, trials: int) -> int:
     return min(workers, trials, os.cpu_count() or 1)
 
 
-def _process_pool(size: int) -> Executor:
-    """A pool of ``size`` processes, opened once csgraph is imported.
-
-    Forked workers inherit the import; otherwise each would pay it inside
-    its first trial.
-    """
-    graph._csgraph()
-    return ProcessPoolExecutor(max_workers=size)
-
-
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Stream for one trial, derived only from (master_seed, trial index)."""
-    return np.random.default_rng([master_seed, trial_index])
+    return default_rng([master_seed, trial_index])
 
 
 def _trial_edges(
@@ -178,15 +171,6 @@ def _trial_edges(
     return graph.EdgeList(
         n, np.concatenate([e.i for e in parts]), np.concatenate([e.j for e in parts])
     )
-
-
-def counts_components(models, decider: str) -> bool:
-    """Whether a trial of any of ``models`` under ``decider`` counts components.
-
-    Only the exact decision on a fading graph needs ``graph.count_components``;
-    the unit disc reads its successive links and ``eigen`` the spectrum.
-    """
-    return decider != "eigen" and RAYLEIGH in models
 
 
 def run_trial(
@@ -220,10 +204,10 @@ def run_trial(
     # gaps run 1..n-1, so the counts are sized by n, never by big_m
     linked = np.bincount(edges.j - edges.i, minlength=n)[1 : big_m + 1]
 
-    if counts_components((model,), decider):
-        connected = graph.count_components(edges) == 1
-    elif decider == "eigen":
+    if decider == "eigen":
         connected = graph.is_connected(edges)
+    elif model == RAYLEIGH:
+        connected = graph.count_components(edges) == 1
     else:
         # lag-1 pair distances are np.diff(positions), not the headways,
         # which differ from them by cumsum rounding
@@ -346,9 +330,10 @@ def run_ensemble(
 
     The trials run in a process pool of ``_pool_size(workers, trials)``
     processes when that exceeds 1: ``executor`` if given (``sweep`` shares
-    one across its cells), else one opened for this call.  The per-trial
-    streams and the index-ordered columns keep the result identical to a
-    serial run.
+    one across its cells), else a ``ProcessPoolExecutor`` opened for this
+    call.  A trial needs numpy alone, so a forked worker inherits every
+    module it uses.  The per-trial streams and the index-ordered columns
+    keep the result identical to a serial run.
     """
     _check_arguments((model,), big_m, decider, trials, master_seed)
     row = partial(
@@ -364,7 +349,7 @@ def run_ensemble(
     if size > 1:
         chunk = max(1, trials // (size * 8))
         if executor is None:
-            with _process_pool(size) as pool:
+            with ProcessPoolExecutor(max_workers=size) as pool:
                 rows = list(pool.map(row, range(trials), chunksize=chunk))
         else:
             rows = list(executor.map(row, range(trials), chunksize=chunk))
@@ -399,10 +384,10 @@ def sweep(
     Rows follow point order, then model order.  Per-trial streams depend only
     on (master_seed, trial index), so duplicated points produce identical
     rows and both models share placements at the same seed.  Every cell runs
-    in one process pool of ``_pool_size(workers, trials)`` processes, or
-    serially when that is 1.  Arguments are checked before any cell runs; a
-    cell that fails with a numerical or input error is recorded in its row
-    and the sweep continues.
+    in one ``ProcessPoolExecutor`` of ``_pool_size(workers, trials)``
+    processes, or serially when that is 1.  Arguments are checked before any
+    cell runs; a cell that fails with a numerical or input error is recorded
+    in its row and the sweep continues.
     """
     points = list(points)
     if not points:
@@ -413,7 +398,7 @@ def sweep(
     _check_arguments(models, big_m, decider, trials, master_seed)
     rows: list[SweepRow] = []
     size = _pool_size(workers, trials)
-    with _process_pool(size) if size > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         for params in points:
             for model in models:
                 try:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vanetconn import montecarlo
 from vanetconn.graph import (
     EdgeList,
     SpectralCeilingError,
@@ -13,6 +14,7 @@ from vanetconn.graph import (
     edges_from_snr,
     is_connected,
 )
+from vanetconn.scenario import sample_headways
 
 
 def _complete(n):
@@ -164,16 +166,43 @@ def test_components_and_eigen_agree_including_long_chains():
         assert is_connected(e) == (components == 1)
 
 
-def test_component_count_does_not_depend_on_edge_order():
+def _relabelled(rng, g):
+    """``g`` with its vertices renamed at random and its edges in random order."""
+    label = rng.permutation(g.n)
+    a, b = label[g.i], label[g.j]
+    order = rng.permutation(g.i.size)
+    return EdgeList(n=g.n, i=np.minimum(a, b)[order], j=np.maximum(a, b)[order])
+
+
+def test_component_count_does_not_depend_on_edge_order(make_params):
+    # scipy's count is the reference; every case also runs randomly relabelled
+    # and reordered, which turns the chain into a randomly labelled path
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    def reference(g):
+        adjacency = coo_array((np.ones(g.i.size), (g.i, g.j)), shape=(g.n, g.n))
+        return connected_components(adjacency, directed=False, return_labels=False)
+
     rng = np.random.default_rng(58)
-    for _ in range(100):
-        g = _random_graph(rng)
-        order = rng.permutation(g.i.size)
-        shuffled = EdgeList(n=g.n, i=g.i[order], j=g.j[order])
-        assert count_components(shuffled) == count_components(g)
-    # a path listed back to front is one component
-    chain = _path_edges(50)
-    assert count_components(EdgeList(n=50, i=chain.i[::-1], j=chain.j[::-1])) == 1
+    cases = [_random_graph(rng) for _ in range(2000)]
+    # no edges at all, on a few vertex counts
+    cases += [EdgeList(n=n, i=np.zeros(0, int), j=np.zeros(0, int)) for n in (2, 3, 40)]
+    n = 20_000
+    chain = _path_edges(n)
+    cases += [chain, EdgeList(n=n, i=chain.i[::-1], j=chain.j[::-1])]
+    # trial edge lists of both models, with N = 60, 190, 300 and 2000 vehicles
+    for rho in (0.006, 0.019, 0.03, 0.2):
+        for psi_db in (5.0, 15.0):
+            params = make_params(rho=rho, psi_db=psi_db)
+            for model in montecarlo.MODELS:
+                trial = montecarlo.trial_rng(1, len(cases))
+                headways = sample_headways(params, trial)
+                cases.append(montecarlo._trial_edges(headways, params, model, trial))
+    for g in cases:
+        components = reference(g)
+        assert count_components(g) == components
+        assert count_components(_relabelled(rng, g)) == components
 
 
 def test_spectral_ceiling_is_derived_from_the_mohar_bound():

@@ -1,10 +1,10 @@
-"""Which numerical backend each entry point imports, checked in fresh interpreters.
+"""Which modules each entry point imports, checked in fresh interpreters.
 
-The ensemble needs only ``scipy.sparse.csgraph``; the closed forms need
-only ``scipy.integrate``, and nothing at run time needs ``mpmath``.  Each
-backend is imported by the module that uses it on first use, by the CLI while
-it parses a command's arguments (csgraph only where a trial counts
-components), and by the ensemble before it opens a process pool.
+The closed forms need only ``scipy.integrate``, which ``numerics`` imports
+on first use and the CLI while it parses ``analytic``'s arguments.  The
+ensemble computes with numpy alone and loads no scipy module, and nothing at
+run time needs ``mpmath``.  A serial ``simulate`` imports no module once its
+arguments are parsed, so no import lands inside the computation.
 """
 
 import json
@@ -19,11 +19,11 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 BACKENDS = ("scipy.integrate", "scipy.sparse.csgraph", "mpmath")
 
-# loaded(): which of BACKENDS (and vanetconn.numerics) this interpreter holds
+# loaded(): which of BACKENDS, scipy itself and vanetconn.numerics this interpreter holds
 _PRELUDE = f"""
 import json, sys
 def loaded():
-    return sorted(m for m in {BACKENDS + ("vanetconn.numerics",)!r} if m in sys.modules)
+    return sorted(m for m in {BACKENDS + ("scipy", "vanetconn.numerics")!r} if m in sys.modules)
 """
 
 
@@ -45,8 +45,8 @@ def test_package_import_loads_no_backend():
 
 
 def _run_cli(argv: list[str]) -> dict:
-    """``cli.main(argv)`` in a fresh interpreter: its exit code, and loaded()
-    once the arguments are parsed and at exit."""
+    """``cli.main(argv)`` in a fresh interpreter: its exit code, loaded() once
+    the arguments are parsed and at exit, and the modules imported in between."""
     return _run(f"""
         import argparse
         marks = {{}}
@@ -54,19 +54,22 @@ def _run_cli(argv: list[str]) -> dict:
 
         def stamped(self, *args, **kwargs):
             namespace = parse_args(self, *args, **kwargs)
-            marks.setdefault("parsed", loaded())
+            if "parsed" not in marks:
+                marks["parsed"] = loaded()
+                marks["modules"] = set(sys.modules)
             return namespace
 
         argparse.ArgumentParser.parse_args = stamped
         from vanetconn import cli
         marks["code"] = cli.main({argv!r})
         marks["exit"] = loaded()
+        marks["imported_after_parse"] = sorted(set(sys.modules) - marks.pop("modules"))
         print(json.dumps(marks))
     """)
 
 
 @pytest.mark.parametrize("command, at_parse, absent", [
-    ("simulate", ["scipy.sparse.csgraph"], ["mpmath", "scipy.integrate"]),
+    ("simulate", [], ["mpmath", "scipy"]),
     ("analytic", ["scipy.integrate"], ["mpmath", "scipy.sparse.csgraph"]),
 ])
 def test_cli_loads_its_command_backend_while_parsing(command, at_parse, absent):
@@ -78,53 +81,32 @@ def test_cli_loads_its_command_backend_while_parsing(command, at_parse, absent):
     assert not set(absent) & set(marks["exit"])
 
 
-@pytest.mark.parametrize("args, counts", [
-    (["--rho", "0.019", "--psi-db", "15", "--model", "unit_disc"], False),
-    (["--rho", "0.019", "--psi-db", "15", "--decider", "eigen"], False),
-    (["--rho", "0.019", "--psi-db", "15", "--model", "unit_disc", "--decider", "both"], False),
-    (["--rho", "0.019", "--psi-db", "15", "--model", "rayleigh", "--decider", "both"], True),
-    (["--rho", "0.019", "--psi-db", "15", "--model", "both"], True),
+@pytest.mark.parametrize("args", [
+    ["--rho", "0.019", "--psi-db", "15", "--model", "unit_disc"],
+    ["--rho", "0.019", "--psi-db", "15", "--decider", "eigen"],
+    ["--rho", "0.019", "--psi-db", "15", "--model", "unit_disc", "--decider", "both"],
+    ["--rho", "0.019", "--psi-db", "15", "--model", "rayleigh", "--decider", "both"],
+    ["--rho", "0.019", "--psi-db", "15", "--model", "both"],
     # a preset runs both models
-    (["--preset", "density-sweep", "--length-m", "500"], True),
+    ["--preset", "density-sweep", "--length-m", "500"],
+    # a pool of two processes, where the host has two cores
+    ["--rho", "0.019", "--psi-db", "15", "--decider", "both", "--workers", "2"],
 ])
-def test_simulate_loads_csgraph_only_where_a_trial_counts_components(args, counts):
+def test_simulate_loads_no_scipy_module(args):
     marks = _run_cli(["simulate", *args, "--big-m", "2", "--trials", "2", "--out", os.devnull])
     assert marks["code"] == 0
-    assert ("scipy.sparse.csgraph" in marks["parsed"]) == counts
-    assert ("scipy.sparse.csgraph" in marks["exit"]) == counts
+    assert not [m for m in marks["parsed"] + marks["exit"] if m.startswith("scipy")]
 
 
-@pytest.mark.parametrize("call", [
-    "montecarlo.run_ensemble(params, montecarlo.RAYLEIGH, 4, 1, big_m=2, workers=2)",
-    "montecarlo.sweep([params], montecarlo.MODELS, 4, 1, big_m=2, workers=2)",
+@pytest.mark.parametrize("args", [
+    ["--decider", "components"],
+    ["--decider", "eigen"],
+    ["--decider", "both"],
+    ["--model", "unit_disc"],
 ])
-def test_pool_opens_after_csgraph_is_imported(call):
-    # forked workers inherit the parent's modules; a worker that had to
-    # import csgraph itself would pay that import inside the ensemble
-    seen = _run(f"""
-        import os
-        from vanetconn import ScenarioParams, montecarlo
-        seen = {{"before": loaded(), "at_pool": []}}
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen["at_pool"].append("scipy.sparse.csgraph" in sys.modules)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        os.cpu_count = lambda: 2
-        montecarlo.ProcessPoolExecutor = RecordingPool
-        params = ScenarioParams(rho=0.01, road_length=2000.0, tx_power=2000.0,
-                                noise_power=0.01, beta=10.0, ple=2, psi=31.6)
-        {call}
-        print(json.dumps(seen))
-    """)
-    assert "scipy.sparse.csgraph" not in seen["before"]
-    assert seen["at_pool"] == [True]
+def test_serial_simulate_imports_nothing_after_parsing(args):
+    # a module imported after parse_args returns is timed as computation
+    marks = _run_cli(["simulate", "--rho", "0.019", "--psi-db", "15", *args,
+                      "--big-m", "2", "--trials", "2", "--out", os.devnull])
+    assert marks["code"] == 0
+    assert marks["imported_after_parse"] == []

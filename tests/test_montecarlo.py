@@ -148,7 +148,6 @@ def test_trial_memory_is_linear_in_vehicles(make_params):
     # the full pair triangle of 20 000 vehicles would need about 1.6 GB
     params = make_params(rho=0.03, road_length=20_000 / 0.03, psi_db=15.0)
     assert params.n_vehicles == 20_000
-    run_trial(make_params(), RAYLEIGH, trial_rng(1, 0))  # lazy imports off the trace
     tracemalloc.start()
     try:
         outcome = run_trial(params, RAYLEIGH, trial_rng(1, 0))
@@ -162,7 +161,6 @@ def test_trial_memory_is_linear_in_vehicles(make_params):
 def test_trial_memory_does_not_grow_with_big_m(make_params):
     # the per-gap counts are sized by N (190 here), not by the span
     params = make_params()
-    run_trial(params, RAYLEIGH, trial_rng(1, 0))  # lazy imports off the trace
     tracemalloc.start()
     try:
         outcome = run_trial(params, RAYLEIGH, trial_rng(1, 0), big_m=10**9)
