@@ -8,8 +8,9 @@ statistical cross-checks.
 
 from __future__ import annotations
 
-import functools
 import math
+
+import numpy as np
 
 from . import channel, scenario
 from .numerics import integrate_semi_infinite, upper_incomplete_gamma
@@ -84,32 +85,52 @@ def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
     ((50+2m)/rho for the gap density, lam*(50+2m)^(1/alpha) for the channel
     factor), so the cutoff takes whichever is tighter; on near-empty roads
     only the channel scale keeps the interval comparable to the integrand's
-    support.  The quadrature runs once per (params, m): the vehicle
-    connectivity products reuse its value.
+    support.  Reads the per-point memo of :func:`_p_sl_rayleigh`, which the
+    vehicle connectivity products share.
     """
-    return _p_sl_rayleigh(params, _require_neighbor_index(m))
+    m = _require_neighbor_index(m)
+    return float(_p_sl_rayleigh(params, m)[m - 1])
 
 
-# An analytic point reads each (params, m) entry three times: through
-# p_sl_rayleigh in its own row, and directly in both vehicle-connectivity
-# products.  256 entries hold every m of a point up to big_m = 256; a larger
-# span only recomputes.
-@functools.lru_cache(maxsize=256)
-def _p_sl_rayleigh(params: ScenarioParams, m: int) -> float:
+def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
+    """P(m) for every m in ``ms``, from one call of the batched quadrature."""
     rho = params.rho
     alpha = params.ple
     c = _snr_decay_coefficient(params)
     lam = communication_range(params)
-    log_norm = m * math.log(rho) - math.lgamma(m)
+    upper = np.array([min((50.0 + 2.0 * m) / rho, lam * (50.0 + 2.0 * m) ** (1.0 / alpha))
+                      for m in ms])
+    log_norm = np.array([m * math.log(rho) - math.lgamma(m) for m in ms])[:, None, None]
+    power = np.array(ms, dtype=float)[:, None, None] - 1.0
 
-    def integrand(x: float) -> float:
-        if x <= 0.0:
-            return rho if m == 1 else 0.0
-        return math.exp(log_norm + (m - 1) * math.log(x) - rho * x - c * x**alpha)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return np.exp(log_norm + power * np.log(x) - rho * x - c * x**alpha)
 
-    upper = min((50.0 + 2.0 * m) / rho, lam * (50.0 + 2.0 * m) ** (1.0 / alpha))
-    value, _ = integrate_semi_infinite(integrand, upper)
-    return min(1.0, max(0.0, value))
+    values, _ = integrate_semi_infinite(integrand, upper)
+    return np.clip(values, 0.0, 1.0)
+
+
+# P(1..) of the latest points, oldest first.  An analytic point reads each
+# value three times: in its own p_single_link row and in both vehicle
+# connectivity products.
+_LINK_MEMO: dict[ScenarioParams, np.ndarray] = {}
+_LINK_MEMO_POINTS = 16
+
+
+def _p_sl_rayleigh(params: ScenarioParams, big_m: int) -> np.ndarray:
+    """P(m) for m = 1..big_m at least, memoised per point.
+
+    Only the neighbours the memo lacks are integrated, in one batch sized to
+    the span asked for; a value does not depend on the batch it came from.
+    """
+    known = _LINK_MEMO.pop(params, np.empty(0))
+    if len(known) < big_m:
+        missing = _link_probabilities(params, range(len(known) + 1, big_m + 1))
+        known = np.concatenate([known, missing])
+    _LINK_MEMO[params] = known
+    if len(_LINK_MEMO) > _LINK_MEMO_POINTS:
+        del _LINK_MEMO[next(iter(_LINK_MEMO))]
+    return known
 
 
 def _kahan_sum(values) -> tuple[float, float]:
@@ -252,9 +273,10 @@ def avg_node_degree(params: ScenarioParams) -> float:
 
 
 def _one_side_disconnect(params: ScenarioParams, big_m: int) -> float:
+    big_m = _require_neighbor_index(big_m)
     prod = 1.0
-    for m in range(1, _require_neighbor_index(big_m) + 1):
-        prod *= max(0.0, 1.0 - _p_sl_rayleigh(params, m))
+    for p in _p_sl_rayleigh(params, big_m)[:big_m].tolist():
+        prod *= 1.0 - p
     return prod
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import analytic, channel, montecarlo, numerics
+from . import analytic, channel, montecarlo
 from .analytic import DivergentMeanError
 from .scenario import ScenarioParams
 
@@ -52,20 +52,6 @@ _FLAG_OF_FIELD = {
 
 # the most points one range may list; its count is checked before any is built
 _MAX_RANGE_POINTS = 10**6
-
-
-class _LoadingSubcommand(argparse._SubParsersAction):
-    """Dispatches to a subcommand's parser, then imports the backend it computes with.
-
-    The import happens while the arguments are parsed, so that none lands
-    inside the computation.  Only ``analytic`` has one, ``scipy.integrate``;
-    ``simulate`` computes with numpy alone.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        super().__call__(parser, namespace, values, option_string)
-        if namespace.command == "analytic":
-            numerics._quad()
 
 
 def _parse_value_spec(text: str) -> list[float]:
@@ -151,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="1D vehicular network connectivity under unit-disc and "
                     "Rayleigh-fading channels",
     )
-    sub = parser.add_subparsers(dest="command", required=True, action=_LoadingSubcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("analytic", parents=[common],
                    help="closed-form metrics on a (rho, psi) grid")
@@ -223,6 +209,10 @@ def _analytic_rows(args, points):
             yield emit("unit_disc", None, "p_vehicle_one_side", analytic.p_sl_ud_mth(params, 1))
             yield emit("unit_disc", None, "avg_node_degree", 2.0 * rho * r)
         if "rayleigh" in models:
+            # the vehicle products integrate every link of the span in one
+            # batch; the p_single_link rows read its memo
+            one_side = analytic.p_vehicle_one_side_rayleigh(params, big_m)
+            two_side = analytic.p_vehicle_rayleigh(params, big_m)
             for m in neighbours:
                 yield emit("rayleigh", m, "p_single_link", analytic.p_sl_rayleigh(params, m))
             if params.ple == 2:
@@ -233,10 +223,8 @@ def _analytic_rows(args, points):
                 yield emit("rayleigh", m, "avg_snr",
                            _snr_value(analytic.avg_snr_rayleigh, params, m))
             yield emit("rayleigh", None, "avg_node_degree", analytic.avg_node_degree(params))
-            yield emit("rayleigh", big_m, "p_vehicle_one_side",
-                       analytic.p_vehicle_one_side_rayleigh(params, big_m))
-            yield emit("rayleigh", big_m, "p_vehicle_two_side",
-                       analytic.p_vehicle_rayleigh(params, big_m))
+            yield emit("rayleigh", big_m, "p_vehicle_one_side", one_side)
+            yield emit("rayleigh", big_m, "p_vehicle_two_side", two_side)
 
 
 def _snr_value(fn, params, m) -> float | str:

@@ -193,21 +193,66 @@ def test_closed_form_mp_is_bit_identical_to_gammainc_sum(a):
         assert f"{got:.12g}" == f"{expected:.12g}", f"m={m}"
 
 
-def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params):
+def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params, monkeypatch):
     # the uncached route: every p_sl_rayleigh value from its own quadrature
     def reference(params, big_m):
         prod = 1.0
         for m in range(1, big_m + 1):
-            prod *= max(0.0, 1.0 - analytic._p_sl_rayleigh.__wrapped__(params, m))
+            prod *= 1.0 - analytic._link_probabilities(params, range(m, m + 1))[0]
         return 1.0 - prod, 1.0 - prod**2
 
     first, second = make_params(rho=0.011, psi_db=7.0), make_params(rho=0.023, psi_db=7.0)
     expected = {params: reference(params, 10) for params in (first, second)}
-    analytic._p_sl_rayleigh.cache_clear()
+    longer = reference(first, 12)
+    batches = []
+    link_probabilities = analytic._link_probabilities
+
+    def counting(params, ms):
+        batches.append((params, ms))
+        return link_probabilities(params, ms)
+
+    monkeypatch.setattr(analytic, "_link_probabilities", counting)
+    analytic._LINK_MEMO.clear()
     for params in (first, first, second, first, second, second):
         got = (p_vehicle_one_side_rayleigh(params, 10), p_vehicle_rayleigh(params, 10))
         assert got == expected[params]
-    assert analytic._p_sl_rayleigh.cache_info().misses == 20
+    # one batch per point; a longer span integrates only the neighbours it adds
+    assert p_vehicle_one_side_rayleigh(first, 12) == longer[0]
+    assert batches == [(first, range(1, 11)), (second, range(1, 11)), (first, range(11, 13))]
+
+
+def _p_sl_rayleigh_mp(params, m):
+    # P(m) at 40 digits: the Erlang gap density times e^(-c x^alpha), split at
+    # multiples of the threshold length scale
+    lam = communication_range(params)
+    with mpmath.workdps(40):
+        rho = mpmath.mpf(params.rho)
+        c = (mpmath.mpf(params.psi) * params.noise_power
+             / (mpmath.mpf(params.beta) * params.tx_power))
+
+        def density(x):
+            return (rho**m * x ** (m - 1) / mpmath.factorial(m - 1)
+                    * mpmath.exp(-rho * x - c * x**params.ple))
+
+        return float(mpmath.quad(density, [0, *(k * lam for k in (0.5, 1, 2, 4, 8)), mpmath.inf]))
+
+
+@pytest.mark.parametrize("rho, psi_db, neighbours", [
+    (0.006, 15.0, range(25, 41)),
+    (0.008, 14.0, [31]),
+    (0.008, 16.0, [28]),
+])
+def test_tiny_link_probabilities_hold_relative_accuracy(make_params, rho, psi_db, neighbours):
+    # values from 1e-14 down to 6e-26, which an absolute 1e-14 error bound
+    # left uncertified (off by up to 9e-4 at the last two points)
+    params = make_params(rho=rho, psi_db=psi_db)
+    for m in neighbours:
+        expected = _p_sl_rayleigh_mp(params, m)
+        q = p_sl_rayleigh(params, m)
+        c = p_sl_rayleigh_closed_alpha2(params, m)
+        assert expected < 3e-14, f"m={m}"
+        assert abs(q - expected) <= 1e-10 * expected, f"m={m}: quad={q!r} mp={expected!r}"
+        assert abs(c - q) <= 1e-10 * q, f"m={m}: closed={c!r} quad={q!r}"
 
 
 def test_average_snr_reference_value(make_params):

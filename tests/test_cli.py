@@ -251,17 +251,20 @@ def test_simulate_over_many_blocks_matches_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE_MANY_BLOCKS
 
 
-# SHA-256 of the CSV bytes of analytic grids.  They were recorded while the
-# closed form's deep cancellations were re-summed in mpmath at up to 640
-# digits and every vehicle-connectivity product ran its own quadratures; the
-# double-precision recurrence and the memoised quadratures keep every byte.
+# SHA-256 of the CSV bytes of analytic grids.  The first two were recorded
+# while the closed form's deep cancellations were re-summed in mpmath at up to
+# 640 digits and every link probability ran its own adaptive quadrature; the
+# double-precision recurrence and the batched Gauss–Legendre rule keep every
+# byte.  The --big-m 40 grid was re-recorded with that rule: its link
+# probabilities at rho = 0.006, 15 dB, m = 25..40 (1e-14 to 6e-26) now hold a
+# relative 1e-10 error bound, which the absolute one before them did not.
 GOLDEN_ANALYTIC = {
     "--rho 0.002:0.03:0.002 --psi-db 0:20:2":
         "f5ecaaa3e2e313ea2cbd9a02bd5ad5ec715a2149c06db7a0277adb2e61cc834a",
     "--rho 0.026:0.03:0.002 --psi-db 0:4:2":
         "526cdb14eecf57c466a5ceb4ff3d55296e7c027a87f63c732c9f313d69ab9ce6",
     "--rho 0.006,0.019,0.03 --psi-db 0,15 --big-m 40":
-        "7f3c3971150669ff27747a52ba96c48c31ad96a36406e1e279e692cf461b3853",
+        "0ce54120baf1832fc9dd7c5fe7755d36a2fb3ff02b47ce5d7590c294cffc7fda",
 }
 
 
@@ -283,21 +286,37 @@ def test_analytic_runs_without_mpmath(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ANALYTIC[grid]
 
 
-def test_analytic_point_runs_one_quadrature_per_neighbour(tmp_path, monkeypatch):
-    # one per link probability; the vehicle-connectivity rows reuse them
+def test_analytic_point_runs_one_quadrature_call(tmp_path, monkeypatch):
+    # every link probability of a point in one batch; the rows and the
+    # vehicle-connectivity products read it
     calls = []
     integrate = analytic.integrate_semi_infinite
 
     def counting(f, upper):
-        calls.append(upper)
+        calls.append(upper.shape)
         return integrate(f, upper)
 
     monkeypatch.setattr(analytic, "integrate_semi_infinite", counting)
-    analytic._p_sl_rayleigh.cache_clear()
-    code, _ = _run(tmp_path, "analytic", "--rho", "0.019", "--psi-db", "15",
+    analytic._LINK_MEMO.clear()
+    code, _ = _run(tmp_path, "analytic", "--rho", "0.019,0.023", "--psi-db", "15",
                    "--model", "rayleigh", "--big-m", "10")
     assert code == 0
-    assert len(calls) == 10
+    assert calls == [(10,), (10,)]
+
+
+def test_analytic_link_value_does_not_depend_on_the_span(tmp_path):
+    # each point integrates a batch as long as its span; the rows of a
+    # shorter span are the same strings
+    spans = {}
+    for big_m in ("3", "10"):
+        analytic._LINK_MEMO.clear()
+        code, out = _run(tmp_path, "analytic", "--rho", "0.006,0.019", "--psi-db", "0,15",
+                         "--model", "rayleigh", "--big-m", big_m)
+        assert code == 0
+        spans[big_m] = [(r["rho"], r["psi_db"], r["m_or_M"], r["value"]) for r in _read(out)
+                        if r["metric"] == "p_single_link"]
+    assert spans["3"] == [row for row in spans["10"] if int(row[2]) <= 3]
+    assert len(spans["3"]) == 12
 
 
 def test_vehicle_rows_read_the_link_memo_directly(tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
 """Which modules each entry point imports, checked in fresh interpreters.
 
-The closed forms need only ``scipy.integrate``, which ``numerics`` imports
-on first use and the CLI while it parses ``analytic``'s arguments.  The
-ensemble computes with numpy alone and loads no scipy module, and nothing at
-run time needs ``mpmath``.  A serial ``simulate`` imports no module once its
-arguments are parsed, so no import lands inside the computation.
+Neither command loads a scipy module, and nothing at run time needs
+``mpmath``: the closed forms integrate with numpy alone, importing
+``numpy.polynomial`` for the Gauss–Legendre nodes on their first quadrature,
+and the ensemble, which never integrates, does not load it.  A serial
+``simulate`` imports no module once its arguments are parsed, so no import
+lands inside the computation.
 """
 
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-BACKENDS = ("scipy.integrate", "scipy.sparse.csgraph", "mpmath")
+BACKENDS = ("scipy.integrate", "scipy.sparse.csgraph", "mpmath", "numpy.polynomial")
 
 # loaded(): which of BACKENDS, scipy itself and vanetconn.numerics this interpreter holds
 _PRELUDE = f"""
@@ -70,9 +71,10 @@ def _run_cli(argv: list[str]) -> dict:
 
 @pytest.mark.parametrize("command, at_parse, absent", [
     ("simulate", [], ["mpmath", "scipy"]),
-    ("analytic", ["scipy.integrate"], ["mpmath", "scipy.sparse.csgraph"]),
+    ("analytic", [], ["mpmath", "scipy"]),
 ])
 def test_cli_loads_its_command_backend_while_parsing(command, at_parse, absent):
+    # neither command has a backend left to import while parsing
     marks = _run_cli([command, "--rho", "0.019", "--psi-db", "15", "--big-m", "2",
                       *(["--trials", "2"] if command == "simulate" else []),
                       "--out", os.devnull])
@@ -110,3 +112,28 @@ def test_serial_simulate_imports_nothing_after_parsing(args):
                       "--big-m", "2", "--trials", "2", "--out", os.devnull])
     assert marks["code"] == 0
     assert marks["imported_after_parse"] == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "rayleigh"],
+    ["--model", "unit_disc"],
+    ["--model", "both", "--alpha", "3", "--big-m", "12"],
+])
+def test_analytic_loads_no_scipy_module(args):
+    marks = _run_cli(["analytic", "--rho", "0.006,0.019", "--psi-db", "0,15", *args,
+                      "--out", os.devnull])
+    assert marks["code"] == 0
+    assert not [m for m in marks["parsed"] + marks["exit"] if m.startswith("scipy")]
+
+
+@pytest.mark.parametrize("args", [
+    ["--decider", "both"],
+    ["--model", "unit_disc"],
+    ["--decider", "both", "--workers", "2"],
+])
+def test_simulate_never_loads_numpy_polynomial(args):
+    # the Gauss–Legendre nodes are built on the first quadrature only
+    marks = _run_cli(["simulate", "--rho", "0.019", "--psi-db", "15", *args,
+                      "--big-m", "2", "--trials", "2", "--out", os.devnull])
+    assert marks["code"] == 0
+    assert "numpy.polynomial" not in marks["parsed"] + marks["exit"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -11,13 +12,13 @@ from vanetconn.numerics import (
 
 
 def test_exponential_integral():
-    value, err = integrate_semi_infinite(lambda x: math.exp(-x), upper=60.0)
+    value, err = integrate_semi_infinite(lambda x: np.exp(-x), upper=60.0)
     assert abs(value - 1.0) < 1e-10
     assert err < 1e-9
 
 
 def test_gamma_two_integral():
-    value, _ = integrate_semi_infinite(lambda x: x * math.exp(-x), upper=80.0)
+    value, _ = integrate_semi_infinite(lambda x: x * np.exp(-x), upper=80.0)
     assert abs(value - 1.0) < 1e-10
 
 
@@ -30,16 +31,48 @@ def test_shifted_gaussian_against_erfc_closed_form():
         a / (2 * math.sqrt(b))
     )
     value, _ = integrate_semi_infinite(
-        lambda x: math.exp(-a * x - b * x * x), upper=50.0 / a
+        lambda x: np.exp(-a * x - b * x * x), upper=50.0 / a
     )
     assert abs(expected - 48.7) < 0.2, "sanity: the frozen magnitude of the oracle"
     assert abs(value - expected) < 1e-8 * expected
 
 
 def test_nonconvergence_is_an_explicit_failure():
-    # about 6400 oscillations on [0, 50] exhaust the 200 subdivisions
+    # about 6400 oscillations on [0, 50] exhaust the 256 panels
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda x: math.sin(400.0 * x) ** 2 * math.exp(-x), upper=50.0)
+        integrate_semi_infinite(lambda x: np.sin(400.0 * x) ** 2 * np.exp(-x), upper=50.0)
+
+
+def test_bisected_panels_certify_an_oscillating_integrand():
+    # e^-x sin^2(k x) integrates to (1 - 1/(1 + 4 k^2)) / 2; at k = 20 and 40
+    # the 16 starting panels fail their check and are bisected
+    for k in (20.0, 40.0):
+        expected = 0.5 - 0.5 / (1.0 + 4.0 * k * k)
+        value, err = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(k * x) ** 2, upper=50.0)
+        assert abs(value - expected) < 1e-12 * expected, f"k={k}"
+        assert err <= 1e-10 * value
+
+
+def test_error_bound_is_relative_to_a_tiny_value():
+    value, err = integrate_semi_infinite(lambda x: 1e-250 * np.exp(-x), upper=60.0)
+    assert abs(value - 1e-250) < 1e-13 * 1e-250
+    assert err <= 1e-10 * value
+
+
+def test_each_integral_of_a_batch_is_its_own():
+    # one integral per row, some bisected and some not: every value is the
+    # bits it has alone, and the error estimate is the largest one
+    k = np.array([1.0, 40.0, 3.0, 20.0])
+    upper = np.array([50.0, 50.0, 30.0, 60.0])
+
+    def batch(rows):
+        return lambda x: np.exp(-x) * np.sin(k[rows, None, None] * x) ** 2
+
+    values, err = integrate_semi_infinite(batch(slice(None)), upper)
+    assert values.shape == (4,) and isinstance(err, float)
+    alone = [integrate_semi_infinite(batch(slice(i, i + 1)), upper[i:i + 1]) for i in range(4)]
+    assert values.tolist() == [v[0] for v, _ in alone]
+    assert err == max(e for _, e in alone)
 
 
 def test_upper_gamma_shape_one_is_exponential():
