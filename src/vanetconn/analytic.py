@@ -8,7 +8,9 @@ statistical cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -71,9 +73,12 @@ def p_sl_ud_mth(params: ScenarioParams, m: int = 1) -> float:
     """Unit-disc link probability to the m-th neighbour: Erlang CDF at the radius.
 
     A unit-disc link at one distance implies links at every shorter one, so
-    m = 1 is also the one-side vehicle connectivity of the unit disc.
+    m = 1 is also the one-side vehicle connectivity of the unit disc.  Every
+    m of a point reads one running sum of the Poisson head, memoised.
     """
-    return scenario.erlang_cdf(communication_range(params), m, params.rho)
+    m = _require_neighbor_index(m)
+    t = params.rho * communication_range(params)
+    return _first(_ERLANG_MEMO, t, m, lambda: scenario._erlang_cdfs(t))[m - 1]
 
 
 def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
@@ -110,11 +115,12 @@ def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+# the points each memo below keeps, the latest ones
+_MEMO_POINTS = 16
 # P(1..) of the latest points, oldest first.  An analytic point reads each
 # value three times: in its own p_single_link row and in both vehicle
 # connectivity products.
 _LINK_MEMO: dict[ScenarioParams, np.ndarray] = {}
-_LINK_MEMO_POINTS = 16
 
 
 def _p_sl_rayleigh(params: ScenarioParams, big_m: int) -> np.ndarray:
@@ -128,9 +134,46 @@ def _p_sl_rayleigh(params: ScenarioParams, big_m: int) -> np.ndarray:
         missing = _link_probabilities(params, range(len(known) + 1, big_m + 1))
         known = np.concatenate([known, missing])
     _LINK_MEMO[params] = known
-    if len(_LINK_MEMO) > _LINK_MEMO_POINTS:
+    if len(_LINK_MEMO) > _MEMO_POINTS:
         del _LINK_MEMO[next(iter(_LINK_MEMO))]
     return known
+
+
+# Sequences of the latest points, oldest first, each keyed by the one number
+# it depends on: its iterator and the values that has yielded.  The unit-disc
+# links read the Erlang CDFs at rho*lam for m = 1, 2, ..., the closed form the
+# incomplete gammas Gamma(j/2, z) for j = 1, 2, ...
+_ERLANG_MEMO: dict[float, tuple[Iterator[float], list[float]]] = {}
+_GAMMA_MEMO: dict[float, tuple[Iterator[float], list[float]]] = {}
+
+
+def _first(memo: dict, key: float, count: int,
+           sequence: Callable[[], Iterator[float]]) -> list[float]:
+    """At least the first ``count`` values of ``sequence()``, memoised under ``key``.
+
+    The key leaves the memo while its values are extended, so a sequence
+    that raised starts afresh on the next call.
+    """
+    values, known = memo.pop(key, None) or (sequence(), [])
+    if len(known) < count:
+        known.extend(itertools.islice(values, count - len(known)))
+    memo[key] = values, known
+    if len(memo) > _MEMO_POINTS:
+        del memo[next(iter(memo))]
+    return known
+
+
+def _half_integer_gammas(z: float) -> Iterator[float]:
+    """Gamma(j/2, z) for j = 1, 2, ...; NaN where it overflows.
+
+    A NaN term makes the closed form's sum NaN, which sends it to the
+    recurrence, as the overflow itself would.
+    """
+    for j in itertools.count(1):
+        try:
+            yield upper_incomplete_gamma(0.5 * j, z)
+        except OverflowError:
+            yield math.nan
 
 
 def _kahan_sum(values) -> tuple[float, float]:
@@ -171,12 +214,16 @@ def _closed_form_mp(m: int, a: float, z: float) -> float:
             prev, value = value, (prev - value) * a * a / (2 * k)
     else:
         a2 = a * a
+        # 2k/a^2 for k from far above m down to 1, each rounded as 2.0 * k / a2;
+        # the steps above m only settle the ratio
+        coefficients = (2.0 * np.arange(m + 200 + math.ceil(2000.0 / a2), 0, -1) / a2).tolist()
         ratio = 0.0
+        for c in coefficients[:-m]:
+            ratio = 1.0 / (1.0 + c * ratio)
         value = 1.0
-        for k in range(m + 200 + math.ceil(2000.0 / a2), 0, -1):
-            ratio = 1.0 / (1.0 + 2.0 * k / a2 * ratio)
-            if k <= m:
-                value *= ratio
+        for c in coefficients[-m:]:
+            ratio = 1.0 / (1.0 + c * ratio)
+            value *= ratio
     # z - a^2/4 exactly, as one correctly rounded division of integers
     an, ad = a.as_integer_ratio()
     zn, zd = z.as_integer_ratio()
@@ -199,7 +246,8 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
     compensated; when the measured cancellation is too deep for double
     precision, a^2/4 is too large for its terms to be represented, or a term
     or the sum overflows (large m), P(m) comes instead from the three-term
-    recurrence the sum satisfies, which has no alternating terms.
+    recurrence the sum satisfies, which has no alternating terms.  Each
+    Gamma(j/2, a^2/4) is computed once per point.
     """
     m = _require_neighbor_index(m)
     if params.ple != 2:
@@ -209,12 +257,10 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
     z = 0.25 * a * a
     if z >= _EXP_GUARD:
         return min(1.0, _closed_form_mp(m, a, z))
+    gammas = _first(_GAMMA_MEMO, z, m, lambda: _half_integer_gammas(z))
     half_a = 0.5 * a
     try:
-        terms = [
-            math.comb(m - 1, k) * (-half_a) ** k * upper_incomplete_gamma(0.5 * (m - k), z)
-            for k in range(m)
-        ]
+        terms = [math.comb(m - 1, k) * (-half_a) ** k * gammas[m - 1 - k] for k in range(m)]
     except OverflowError:
         return min(1.0, _closed_form_mp(m, a, z))
     total, abs_total = _kahan_sum(terms)

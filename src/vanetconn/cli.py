@@ -191,12 +191,13 @@ def _analytic_rows(args, points):
     neighbours = range(1, big_m + 1)
     models = _models(args)
     for rho, psi_db, params in points:
-        point = {"rho": _fmt(rho), "psi_db": _fmt(psi_db)}
+        rho_text, psi_text = _fmt(rho), _fmt(psi_db)
 
-        # value is a float, or the text of an average SNR that diverges
+        # a row in ANALYTIC_HEADER order; value is a float, or the text of an
+        # average SNR that diverges
         def emit(model, m, metric, value):
-            return {**point, "model": model, "m_or_M": "" if m is None else str(m),
-                    "metric": metric, "value": value if isinstance(value, str) else _fmt(value)}
+            return (model, rho_text, psi_text, "" if m is None else str(m), metric,
+                    value if isinstance(value, str) else _fmt(value))
 
         r = analytic.communication_range(params)
         if "unit_disc" in models:
@@ -247,25 +248,20 @@ def _simulate_rows(args, points):
     )
     # sweep rows follow point order, then model order
     labels = [(rho, psi_db) for rho, psi_db, _ in points for _ in models]
+    trials, seed = str(args.trials), str(args.seed)
+    # rows in SIMULATE_HEADER order
     for (rho, psi_db), row in zip(labels, rows, strict=True):
-        base = {
-            "model": row.model,
-            "rho": _fmt(rho),
-            "psi_db": _fmt(psi_db),
-            "n_vehicles": "" if row.error is not None else str(row.params.n_vehicles),
-            "trials": str(args.trials),
-            "seed": str(args.seed),
-        }
+        point = (row.model, _fmt(rho), _fmt(psi_db))
         if row.error is not None:
-            yield {**base, "metric": "error", "estimate": "", "ci_lo": "", "ci_hi": "",
-                   "decider_mismatches": "", "error": row.error}
+            yield (*point, "", trials, "error", "", "", "", seed, "", row.error)
             continue
         result = row.result
+        n_vehicles = str(row.params.n_vehicles)
         mismatches = str(result.decider_mismatches()) if args.decider == "both" else ""
+
         def emit(metric, estimate, lo, hi):
-            return {**base, "metric": metric, "estimate": _fmt(estimate),
-                    "ci_lo": _fmt(lo), "ci_hi": _fmt(hi),
-                    "decider_mismatches": mismatches, "error": ""}
+            return (*point, n_vehicles, trials, metric, _fmt(estimate), _fmt(lo), _fmt(hi),
+                    seed, mismatches, "")
 
         net = result.network_connectivity()
         yield emit("network_connectivity", net.estimate, net.ci_lo, net.ci_hi)
@@ -281,10 +277,9 @@ def _simulate_rows(args, points):
 
 
 def _write_csv(handle, header: list[str], rows) -> None:
-    writer = csv.DictWriter(handle, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def main(argv=None) -> int:

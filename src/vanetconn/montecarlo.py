@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
+import sys
+from concurrent.futures import Executor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -139,6 +140,26 @@ def _check_arguments(models, big_m: int, decider: str, trials: int = 1, master_s
 def _pool_size(workers: int, trials: int) -> int:
     """Processes worth starting: no more than the trials or the cores."""
     return min(workers, trials, os.cpu_count() or 1)
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first use: concurrent.futures.process
+    # loads multiprocessing, which only a pool of two or more processes needs
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+def _open_pool(size: int) -> Executor:
+    """A process pool of ``size`` workers.
+
+    The class is read as this module's attribute, so a stand-in set there is
+    the one opened.
+    """
+    return sys.modules[__name__].ProcessPoolExecutor(max_workers=size)
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -349,7 +370,7 @@ def run_ensemble(
     if size > 1:
         chunk = max(1, trials // (size * 8))
         if executor is None:
-            with ProcessPoolExecutor(max_workers=size) as pool:
+            with _open_pool(size) as pool:
                 rows = list(pool.map(row, range(trials), chunksize=chunk))
         else:
             rows = list(executor.map(row, range(trials), chunksize=chunk))
@@ -398,7 +419,7 @@ def sweep(
     _check_arguments(models, big_m, decider, trials, master_seed)
     rows: list[SweepRow] = []
     size = _pool_size(workers, trials)
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
+    with _open_pool(size) if size > 1 else nullcontext() as pool:
         for params in points:
             for model in models:
                 try:

@@ -8,6 +8,7 @@ Erlang distribution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -214,14 +215,19 @@ def erlang_cdf(x: float, m: int, rho: float) -> float:
     m = _require_neighbor_index(m)
     if not rho > 0:
         raise ValueError(f"density must be > 0, got {rho!r}")
-    t = rho * x
+    return next(itertools.islice(_erlang_cdfs(rho * x), m - 1, None))
+
+
+def _erlang_cdfs(t: float) -> Iterator[float]:
+    """The Erlang CDFs at rho x = t for m = 1, 2, ...
+
+    Larger m read one running sum of the Poisson head, its terms added in k
+    order, so a caller that needs every m up to some M sums M terms.
+    """
     # x <= 0, or rho x below the smallest double
     if t <= 0:
-        return 0.0
-    if m == 1:
-        return -math.expm1(-t)
+        return itertools.repeat(0.0)
     log_t = math.log(t)
-    total = 0.0
-    for k in range(m):
-        total += math.exp(k * log_t - t - math.lgamma(k + 1.0))
-    return max(0.0, 1.0 - total)
+    terms = (math.exp(k * log_t - t - math.lgamma(k + 1.0)) for k in itertools.count())
+    heads = itertools.islice(itertools.accumulate(terms), 1, None)
+    return itertools.chain([-math.expm1(-t)], (max(0.0, 1.0 - head) for head in heads))

@@ -20,6 +20,7 @@ from vanetconn.analytic import (
     p_vehicle_one_side_rayleigh,
     p_vehicle_rayleigh,
 )
+from vanetconn.numerics import upper_incomplete_gamma
 from vanetconn.scenario import erlang_pdf
 
 
@@ -191,6 +192,87 @@ def test_closed_form_mp_is_bit_identical_to_gammainc_sum(a):
         expected = _closed_form_mp_gammainc(m, a, z)
         assert abs(got - expected) <= 1e-14 * expected, f"m={m}"
         assert f"{got:.12g}" == f"{expected:.12g}", f"m={m}"
+
+
+def _closed_form_mp_per_step(m, a, z):
+    # the recurrence as it ran before its backward coefficients came from one
+    # numpy expression: a single backward loop that tests k <= m on every step
+    if math.isinf(a) or math.isinf(z):
+        return 1.0
+    if a < analytic._FORWARD_BELOW:
+        prev = 1.0
+        value = 0.5 * a * math.sqrt(math.pi) * math.exp(0.25 * a * a) * math.erfc(0.5 * a)
+        for k in range(1, m):
+            prev, value = value, (prev - value) * a * a / (2 * k)
+    else:
+        a2 = a * a
+        ratio = 0.0
+        value = 1.0
+        for k in range(m + 200 + math.ceil(2000.0 / a2), 0, -1):
+            ratio = 1.0 / (1.0 + 2.0 * k / a2 * ratio)
+            if k <= m:
+                value *= ratio
+    an, ad = a.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    delta = (4 * zn * ad * ad - an * an * zd) / (4 * zd * ad * ad)
+    if abs(delta) < analytic._FIRST_ORDER_DELTA:
+        value += delta * (value - (m == 1))
+    return value
+
+
+def test_closed_form_mp_gives_the_per_step_bits():
+    rng = np.random.default_rng(1812)
+    # mostly the backward branch (a >= 0.5), whose loop changed; some forward
+    a = np.concatenate([rng.uniform(0.5, 40.0, 600), np.exp(rng.uniform(-7.0, math.log(0.5), 100))])
+    m = rng.integers(1, 41, a.size)
+    for m_i, a_i in zip(m.tolist(), a.tolist()):
+        z = 0.25 * a_i * a_i
+        got = analytic._closed_form_mp(m_i, a_i, z)
+        assert got == _closed_form_mp_per_step(m_i, a_i, z), (m_i, a_i)
+
+
+def _closed_form_per_call(params, m):
+    # the closed form as it was before each incomplete gamma was computed once
+    # per point: every call computes its own, and one that overflows raises
+    a = params.rho * communication_range(params)
+    z = 0.25 * a * a
+    if z >= analytic._EXP_GUARD:
+        return min(1.0, analytic._closed_form_mp(m, a, z))
+    half_a = 0.5 * a
+    try:
+        terms = [math.comb(m - 1, k) * (-half_a) ** k * upper_incomplete_gamma(0.5 * (m - k), z)
+                 for k in range(m)]
+    except OverflowError:
+        return min(1.0, analytic._closed_form_mp(m, a, z))
+    total, abs_total = analytic._kahan_sum(terms)
+    if not (total > 0.0 and abs_total / total <= analytic._CANCELLATION_ESCALATE):
+        return min(1.0, analytic._closed_form_mp(m, a, z))
+    log_pref = m * math.log(a) + z - math.log(2.0) - math.lgamma(m)
+    return min(1.0, math.exp(log_pref + math.log(total)))
+
+
+@pytest.mark.parametrize("rho, psi_db, neighbours", [
+    # the sum, then escalations from m = 340; from m = 344 an incomplete gamma
+    # overflows
+    (0.0002, -10.0, [*range(1, 41), *range(340, 351)]),
+    (0.019, 15.0, range(1, 41)),
+    # deep cancellations, and from m = 234 a term that overflows
+    (0.03, 0.0, [*range(1, 41), *range(230, 240)]),
+    # a^2/4 past 700: no incomplete gamma at all
+    (0.3, 0.0, range(1, 41)),
+])
+def test_closed_form_gives_the_same_bits_whatever_the_memo_holds(
+        make_params, rho, psi_db, neighbours):
+    params = make_params(rho=rho, psi_db=psi_db)
+    expected = {m: _closed_form_per_call(params, m) for m in neighbours}
+    cold = {}
+    for m in neighbours:
+        analytic._GAMMA_MEMO.clear()
+        cold[m] = p_sl_rayleigh_closed_alpha2(params, m)
+    analytic._GAMMA_MEMO.clear()
+    ascending = {m: p_sl_rayleigh_closed_alpha2(params, m) for m in neighbours}
+    descending = {m: p_sl_rayleigh_closed_alpha2(params, m) for m in reversed(neighbours)}
+    assert cold == ascending == descending == expected
 
 
 def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params, monkeypatch):

@@ -265,6 +265,12 @@ GOLDEN_ANALYTIC = {
         "526cdb14eecf57c466a5ceb4ff3d55296e7c027a87f63c732c9f313d69ab9ce6",
     "--rho 0.006,0.019,0.03 --psi-db 0,15 --big-m 40":
         "0ce54120baf1832fc9dd7c5fe7755d36a2fb3ff02b47ce5d7590c294cffc7fda",
+    # every branch of the closed form: 175 forward and 3 483 backward
+    # recurrences, 1 200 of them at a^2/4 >= 700, and from m = 344 an
+    # incomplete gamma that overflows; recorded while each call of the closed
+    # form computed its own incomplete gammas
+    "--rho 0.0002,0.002,0.03,0.3 --psi-db=-10,0,20 --big-m 400":
+        "93e90999db338a1fd74108f3e890d61119766941e35826b739e649ace40fb212",
 }
 
 

@@ -5,7 +5,8 @@ Neither command loads a scipy module, and nothing at run time needs
 ``numpy.polynomial`` for the Gauss–Legendre nodes on their first quadrature,
 and the ensemble, which never integrates, does not load it.  A serial
 ``simulate`` imports no module once its arguments are parsed, so no import
-lands inside the computation.
+lands inside the computation.  Only a pool of two or more processes loads
+``concurrent.futures.process`` and with it ``multiprocessing``.
 """
 
 import json
@@ -19,12 +20,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BACKENDS = ("scipy.integrate", "scipy.sparse.csgraph", "mpmath", "numpy.polynomial")
+POOL = ("concurrent.futures.process", "multiprocessing")
 
-# loaded(): which of BACKENDS, scipy itself and vanetconn.numerics this interpreter holds
+# loaded(): which of BACKENDS, POOL, scipy itself and vanetconn.numerics this
+# interpreter holds
 _PRELUDE = f"""
 import json, sys
 def loaded():
-    return sorted(m for m in {BACKENDS + ("scipy", "vanetconn.numerics")!r} if m in sys.modules)
+    return sorted(m for m in {BACKENDS + POOL + ("scipy", "vanetconn.numerics")!r}
+                  if m in sys.modules)
 """
 
 
@@ -137,3 +141,18 @@ def test_simulate_never_loads_numpy_polynomial(args):
                       "--big-m", "2", "--trials", "2", "--out", os.devnull])
     assert marks["code"] == 0
     assert "numpy.polynomial" not in marks["parsed"] + marks["exit"]
+
+
+@pytest.mark.parametrize("argv, pool", [
+    (["analytic", "--big-m", "2"], False),
+    (["simulate", "--big-m", "2", "--trials", "2"], False),
+    (["simulate", "--big-m", "2", "--trials", "2", "--decider", "both", "--model", "rayleigh"],
+     False),
+    # a pool of two processes where the host has two cores, else serial
+    (["simulate", "--big-m", "2", "--trials", "2", "--workers", "2"], (os.cpu_count() or 1) > 1),
+], ids=["analytic", "serial", "serial-both-deciders", "workers-2"])
+def test_only_a_process_pool_loads_multiprocessing(argv, pool):
+    marks = _run_cli([*argv, "--rho", "0.019", "--psi-db", "15", "--out", os.devnull])
+    assert marks["code"] == 0
+    assert not set(POOL) & set(marks["parsed"])
+    assert (set(POOL) <= set(marks["exit"])) == pool

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -197,6 +198,28 @@ def test_erlang_cdf_matches_pdf_quadrature():
     assert erlang_cdf(1.0, 1, 1e-17) == -math.expm1(-1e-17)
     # rho x below the smallest double is a zero probability, not a log(0)
     assert erlang_cdf(1e-300, 2, 1e-300) == 0.0
+
+
+def _erlang_cdf_per_m(t, m):
+    # each m summing its own Poisson head, as erlang_cdf did before every m
+    # read one running sum
+    if t <= 0:
+        return 0.0
+    if m == 1:
+        return -math.expm1(-t)
+    log_t = math.log(t)
+    total = 0.0
+    for k in range(m):
+        total += math.exp(k * log_t - t - math.lgamma(k + 1.0))
+    return max(0.0, 1.0 - total)
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-300, 1e-17, 0.28, 1.0, 7.5, 31.6, 60.0, 250.0, math.inf])
+def test_erlang_cdf_running_sum_gives_the_per_m_bits(t):
+    cdfs = list(itertools.islice(scenario._erlang_cdfs(t), 60))
+    expected = [_erlang_cdf_per_m(t, m) for m in range(1, 61)]
+    assert cdfs == expected
+    assert [erlang_cdf(t, m, 1.0) for m in range(1, 61)] == expected
 
 
 def test_summed_headways_follow_erlang(make_params):
