@@ -140,7 +140,7 @@ def _p_sl_rayleigh(params: ScenarioParams, big_m: int) -> np.ndarray:
 
 
 # Sequences of the latest points, oldest first, each keyed by the one number
-# it depends on: its iterator and the values that has yielded.  The unit-disc
+# it depends on: its iterator and the values it has yielded.  The unit-disc
 # links read the Erlang CDFs at rho*lam for m = 1, 2, ..., the closed form the
 # incomplete gammas Gamma(j/2, z) for j = 1, 2, ...
 _ERLANG_MEMO: dict[float, tuple[Iterator[float], list[float]]] = {}
