@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-from concurrent.futures import Executor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -137,29 +135,23 @@ def _check_arguments(models, big_m: int, decider: str, trials: int = 1, master_s
         raise ValueError("master_seed must be a nonnegative integer")
 
 
-def _pool_size(workers: int, trials: int) -> int:
-    """Processes worth starting: no more than the trials or the cores."""
-    return min(workers, trials, os.cpu_count() or 1)
+@contextmanager
+def _trial_map(workers: int, trials: int):
+    """The ``map`` that runs ``trials`` trials: the builtin, or a process pool's.
 
-
-def __getattr__(name: str):
-    # ProcessPoolExecutor is imported on first use: concurrent.futures.process
-    # loads multiprocessing, which only a pool of two or more processes needs
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    A pool is opened when more than one process is worth starting, no more
+    than the workers, the trials or the cores.  ``ProcessPoolExecutor`` is
+    imported here: ``concurrent.futures.process`` loads ``multiprocessing``,
+    which only a pool needs.
+    """
+    size = min(workers, trials, os.cpu_count() or 1)
+    if size < 2:
+        yield map
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
-def _open_pool(size: int) -> Executor:
-    """A process pool of ``size`` workers.
-
-    The class is read as this module's attribute, so a stand-in set there is
-    the one opened.
-    """
-    return sys.modules[__name__].ProcessPoolExecutor(max_workers=size)
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield partial(pool.map, chunksize=max(1, trials // (size * 8)))
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -345,16 +337,16 @@ def run_ensemble(
     big_m: int = 10,
     decider: str = "components",
     workers: int = 1,
-    executor: Executor | None = None,
+    trial_map=None,
 ) -> EnsembleResult:
     """Run the full trial ensemble; deterministic in master_seed alone.
 
-    The trials run in a process pool of ``_pool_size(workers, trials)``
-    processes when that exceeds 1: ``executor`` if given (``sweep`` shares
-    one across its cells), else a ``ProcessPoolExecutor`` opened for this
-    call.  A trial needs numpy alone, so a forked worker inherits every
-    module it uses.  The per-trial streams and the index-ordered columns
-    keep the result identical to a serial run.
+    The trials run through ``trial_map`` if given (``sweep`` shares one
+    across its cells), else through ``_trial_map(workers, trials)``: in a
+    process pool of up to ``workers`` processes, or serially.  A trial
+    needs numpy and this package alone, so a worker has every module it
+    uses whichever way it was started.  The per-trial streams and the
+    index-ordered columns keep the result identical to a serial run.
     """
     _check_arguments((model,), big_m, decider, trials, master_seed)
     row = partial(
@@ -366,16 +358,8 @@ def run_ensemble(
         decider=decider,
         margin=default_interior_margin(params),
     )
-    size = _pool_size(workers, trials)
-    if size > 1:
-        chunk = max(1, trials // (size * 8))
-        if executor is None:
-            with _open_pool(size) as pool:
-                rows = list(pool.map(row, range(trials), chunksize=chunk))
-        else:
-            rows = list(executor.map(row, range(trials), chunksize=chunk))
-    else:
-        rows = [row(t) for t in range(trials)]
+    with nullcontext(trial_map) if trial_map else _trial_map(workers, trials) as mapped:
+        rows = list(mapped(row, range(trials)))
     columns = (np.array(column) for column in zip(*rows))
     return EnsembleResult(params, model, trials, master_seed, big_m, decider, *columns)
 
@@ -405,8 +389,8 @@ def sweep(
     Rows follow point order, then model order.  Per-trial streams depend only
     on (master_seed, trial index), so duplicated points produce identical
     rows and both models share placements at the same seed.  Every cell runs
-    in one ``ProcessPoolExecutor`` of ``_pool_size(workers, trials)``
-    processes, or serially when that is 1.  Arguments are checked before any
+    through one ``_trial_map(workers, trials)``: one process pool for the
+    whole sweep, or serially.  Arguments are checked before any
     cell runs; a cell that fails with a numerical or input error is recorded
     in its row and the sweep continues.
     """
@@ -418,8 +402,7 @@ def sweep(
             raise TypeError(f"points must be ScenarioParams, got {type(params).__name__}")
     _check_arguments(models, big_m, decider, trials, master_seed)
     rows: list[SweepRow] = []
-    size = _pool_size(workers, trials)
-    with _open_pool(size) if size > 1 else nullcontext() as pool:
+    with _trial_map(workers, trials) as trial_map:
         for params in points:
             for model in models:
                 try:
@@ -431,7 +414,7 @@ def sweep(
                         big_m=big_m,
                         decider=decider,
                         workers=workers,
-                        executor=pool,
+                        trial_map=trial_map,
                     )
                 except (ValueError, ArithmeticError) as exc:
                     rows.append(SweepRow(params, model, None, f"{type(exc).__name__}: {exc}"))

@@ -17,9 +17,10 @@ _MAX_SERIES_ITER = 500
 _MAX_CF_ITER = 500
 _EPS = 1e-15
 _TINY = 1e-300
-# the rule of integrate_semi_infinite: equal panels on [0, upper], Gauss–Legendre
-# nodes per panel, the coarser rule whose difference estimates the error, the
-# relative tolerance that estimate must meet and the most panels per integral
+# the rule of integrate_semi_infinite: equal panels on [0, upper] of the first
+# try (each rerun doubles them), Gauss–Legendre nodes per panel, the coarser
+# rule whose difference estimates the error, the relative tolerance that
+# estimate must meet and the most panels per integral
 _QUAD_PANELS = 16
 _QUAD_NODES = 40
 _QUAD_CHECK_NODES = 20
@@ -71,60 +72,40 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], upper):
     and the 20-node rule on the same panels for the error estimate, the sum
     of |40-node - 20-node| over the panels.  That estimate must be within
     1e-10 of each integral's value (or below the smallest normal double).
-    Where it is not, the panels carrying more than their share of the error
-    are bisected and the integral re-checked; past 256 panels
-    :class:`QuadratureError` is raised, never a silently truncated result.
-    Every integral runs on its own panels, so its value does not depend on
-    the others in the batch.
+    Where it is not, the batch is rerun on twice as many equal panels and
+    the integrals that failed take the new values, up to 256 panels; past
+    that :class:`QuadratureError` is raised, never a silently truncated
+    result.  An integral keeps the values of the first panel count it
+    certifies on, so its value does not depend on the others in the batch.
 
     Returns ``(values, abserr)``: the values, shaped like ``upper``, and the
     largest error estimate over the batch as a float.
     """
     upper = np.asarray(upper, dtype=float)
-    edges = np.linspace(0.0, 1.0, _QUAD_PANELS + 1)
-    lo = upper.reshape(-1, 1) * edges[:-1]
-    hi = upper.reshape(-1, 1) * edges[1:]
-    value, err = _panel_rule(f, lo, hi)
-    # the panels that make up each integral; the others were bisected
-    live = np.ones(value.shape, dtype=bool)
+    width = upper.reshape(-1, 1)
+    totals = np.zeros(width.shape[0])
+    estimates = np.zeros(width.shape[0])
+    failing = np.ones(width.shape[0], dtype=bool)
+    panels = _QUAD_PANELS
     while True:
-        if not np.isfinite(value[live]).all() or not np.isfinite(err[live]).all():
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        value, err = _panel_rule(f, width * edges[:-1], width * edges[1:])
+        value, err = value[failing], err[failing]
+        if not np.isfinite(value).all() or not np.isfinite(err).all():
             raise QuadratureError(f"integrand not finite on [0, {upper.max():g}]")
-        totals = np.array([math.fsum(v[keep]) for v, keep in zip(value, live)])
-        estimates = np.where(live, err, 0.0).sum(axis=1)
+        totals[failing] = [math.fsum(v) for v in value]
+        estimates[failing] = err.sum(axis=1)
         allowed = np.maximum(_QUAD_REL_TOL * np.abs(totals), _QUAD_ABS_FLOOR)
         failing = estimates > allowed
         if not failing.any():
-            break
-        # every panel over its share of the tolerance, and at least the worst one
-        count = live.sum(axis=1)
-        worst = np.where(live, err, 0.0).max(axis=1)
-        share = np.minimum(allowed / count, worst)
-        split = live & failing[:, None] & (err >= share[:, None])
-        if (count + split.sum(axis=1) > _QUAD_MAX_PANELS).any():
+            return totals.reshape(upper.shape), float(estimates.max(initial=0.0))
+        if panels == _QUAD_MAX_PANELS:
             i = int(np.argmax(failing))
             raise QuadratureError(
                 f"error estimate {estimates[i]:.3e} exceeds requested tolerance "
                 f"{allowed[i]:.3e} on [0, {upper.flat[i]:g}] within {_QUAD_MAX_PANELS} panels"
             )
-        # the split panels first in each row; a row with fewer repeats panels
-        # of its own, whose values are discarded
-        k = int(split.sum(axis=1).max())
-        order = np.argsort(~split, axis=1, kind="stable")[:, :k]
-        fresh = np.take_along_axis(split, order, axis=1)
-        a = np.take_along_axis(lo, order, axis=1)
-        b = np.take_along_axis(hi, order, axis=1)
-        mid = 0.5 * (a + b)
-        halves_lo, halves_hi = np.hstack([a, mid]), np.hstack([mid, b])
-        halves_value, halves_err = _panel_rule(f, halves_lo, halves_hi)
-        live = np.hstack([live & ~split, fresh, fresh])
-        lo, hi = np.hstack([lo, halves_lo]), np.hstack([hi, halves_hi])
-        value, err = np.hstack([value, halves_value]), np.hstack([err, halves_err])
-        # drop the columns no integral uses any more
-        used = live.any(axis=0)
-        live, lo, hi = live[:, used], lo[:, used], hi[:, used]
-        value, err = value[:, used], err[:, used]
-    return totals.reshape(upper.shape), float(estimates.max(initial=0.0))
+        panels *= 2
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:

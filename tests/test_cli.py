@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -375,6 +376,27 @@ def test_simulate_worker_count_does_not_change_output(tmp_path, monkeypatch):
     assert main([*args, "--workers", "1", "--out", str(out1)]) == 0
     assert main([*args, "--workers", "3", "--out", str(out3)]) == 0
     assert out1.read_bytes() == out3.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_pool_gives_the_serial_bytes_under_every_start_method(tmp_path, method):
+    # a fresh interpreter, since the start method is set once per process;
+    # spawned and forkserver workers import the package anew
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    args = ["simulate", "--rho", "0.01:0.03:0.005", "--decider", "both", "--trials", "4",
+            "--seed", "1"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main([*args, "--workers", "1", "--out", str(serial)]) == 0
+    script = (f"import multiprocessing, os, sys; multiprocessing.set_start_method({method!r}); "
+              "os.cpu_count = lambda: 2; from vanetconn.cli import main; "
+              f"code = main({[*args, '--workers', '2', '--out', str(pooled)]!r}); "
+              "assert 'concurrent.futures.process' in sys.modules, 'no pool opened'; "
+              "sys.exit(code)")
+    proc = _fresh_python("-c", script, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_simulate_row_structure(tmp_path):

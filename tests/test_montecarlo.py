@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import tracemalloc
 from unittest import mock
@@ -364,12 +365,12 @@ def test_sweep_opens_one_pool_and_matches_serial(monkeypatch, make_params):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     opened = []
 
-    class CountingPool(montecarlo.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     points = [make_params(rho=0.008, psi_db=15.0), make_params(rho=0.012, psi_db=5.0)]
     serial = sweep(points, MODELS, trials=12, master_seed=9, big_m=3)
     assert opened == []
@@ -407,7 +408,7 @@ def test_pool_is_bounded_by_trials_and_cores(monkeypatch, make_params, cores, tr
             return map(fn, iterable)
 
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     params = make_params(rho=0.01, road_length=2_000.0)
     expected = [] if size is None else [size]
     serial = run_ensemble(params, RAYLEIGH, trials, 4, big_m=2)
@@ -457,7 +458,7 @@ def test_sweep_does_not_record_programming_errors(make_params):
 ], ids=["decider", "big_m", "trials", "master_seed", "models"])
 def test_sweep_rejects_bad_arguments_before_any_cell(monkeypatch, make_params, kwargs):
     opened = []
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", lambda **kw: opened.append(kw))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: opened.append(kw))
     args = {"models": MODELS, "trials": 3, "master_seed": 1, "workers": 2, **kwargs}
     with pytest.raises(ValueError):
         sweep([make_params(rho=0.02)], **args)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vanetconn import analytic, numerics
 from vanetconn.numerics import (
     QuadratureError,
     integrate_semi_infinite,
@@ -45,7 +46,7 @@ def test_nonconvergence_is_an_explicit_failure():
 
 def test_bisected_panels_certify_an_oscillating_integrand():
     # e^-x sin^2(k x) integrates to (1 - 1/(1 + 4 k^2)) / 2; at k = 20 and 40
-    # the 16 starting panels fail their check and are bisected
+    # the 16 starting panels fail their check and the rule reruns on more
     for k in (20.0, 40.0):
         expected = 0.5 - 0.5 / (1.0 + 4.0 * k * k)
         value, err = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(k * x) ** 2, upper=50.0)
@@ -60,8 +61,8 @@ def test_error_bound_is_relative_to_a_tiny_value():
 
 
 def test_each_integral_of_a_batch_is_its_own():
-    # one integral per row, some bisected and some not: every value is the
-    # bits it has alone, and the error estimate is the largest one
+    # one integral per row, some rerun on more panels and some not: every
+    # value is the bits it has alone, and the error estimate is the largest one
     k = np.array([1.0, 40.0, 3.0, 20.0])
     upper = np.array([50.0, 50.0, 30.0, 60.0])
 
@@ -73,6 +74,27 @@ def test_each_integral_of_a_batch_is_its_own():
     alone = [integrate_semi_infinite(batch(slice(i, i + 1)), upper[i:i + 1]) for i in range(4)]
     assert values.tolist() == [v[0] for v, _ in alone]
     assert err == max(e for _, e in alone)
+
+
+def test_link_integrals_certify_on_their_first_panels(monkeypatch, make_params):
+    # the rule is sized so that a link-probability batch certifies on its
+    # first 16 panels: one panel-rule call per batch over the corners of the
+    # path-loss exponent, threshold and density
+    calls = []
+    panel_rule = numerics._panel_rule
+
+    def counted(f, lo, hi):
+        calls.append(lo.shape)
+        return panel_rule(f, lo, hi)
+
+    monkeypatch.setattr(numerics, "_panel_rule", counted)
+    for ple in (1, 2, 3, 4, 6):
+        for psi_db in (-300.0, 0.0, 15.0, 300.0):
+            for rho in (1e-6, 0.019, 1.0):
+                params = make_params(rho=rho, psi_db=psi_db, ple=ple)
+                calls.clear()
+                analytic._link_probabilities(params, range(1, 401))
+                assert calls == [(400, 16)], (ple, psi_db, rho)
 
 
 def test_upper_gamma_shape_one_is_exponential():
