@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Collection
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "avg_node_degree",
     "p_vehicle_one_side_rayleigh",
     "p_vehicle_rayleigh",
+    "point_rows",
 ]
 
 # beyond z = rho^2 lam^2 / 4 = 700 the incomplete gammas, of order e^-z, near
@@ -73,12 +74,9 @@ def p_sl_ud_mth(params: ScenarioParams, m: int = 1) -> float:
     """Unit-disc link probability to the m-th neighbour: Erlang CDF at the radius.
 
     A unit-disc link at one distance implies links at every shorter one, so
-    m = 1 is also the one-side vehicle connectivity of the unit disc.  Every
-    m of a point reads one running sum of the Poisson head, memoised.
+    m = 1 is also the one-side vehicle connectivity of the unit disc.
     """
-    m = _require_neighbor_index(m)
-    t = params.rho * communication_range(params)
-    return _first(_ERLANG_MEMO, t, m, lambda: scenario._erlang_cdfs(t))[m - 1]
+    return scenario.erlang_cdf(communication_range(params), m, params.rho)
 
 
 def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
@@ -90,11 +88,10 @@ def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
     ((50+2m)/rho for the gap density, lam*(50+2m)^(1/alpha) for the channel
     factor), so the cutoff takes whichever is tighter; on near-empty roads
     only the channel scale keeps the interval comparable to the integrand's
-    support.  Reads the per-point memo of :func:`_p_sl_rayleigh`, which the
-    vehicle connectivity products share.
+    support.  A value is the same bits whatever batch of m it is integrated in.
     """
     m = _require_neighbor_index(m)
-    return float(_p_sl_rayleigh(params, m)[m - 1])
+    return float(_link_probabilities(params, range(m, m + 1))[0])
 
 
 def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
@@ -115,65 +112,19 @@ def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-# the points each memo below keeps, the latest ones
-_MEMO_POINTS = 16
-# P(1..) of the latest points, oldest first.  An analytic point reads each
-# value three times: in its own p_single_link row and in both vehicle
-# connectivity products.
-_LINK_MEMO: dict[ScenarioParams, np.ndarray] = {}
-
-
-def _p_sl_rayleigh(params: ScenarioParams, big_m: int) -> np.ndarray:
-    """P(m) for m = 1..big_m at least, memoised per point.
-
-    Only the neighbours the memo lacks are integrated, in one batch sized to
-    the span asked for; a value does not depend on the batch it came from.
-    """
-    known = _LINK_MEMO.pop(params, np.empty(0))
-    if len(known) < big_m:
-        missing = _link_probabilities(params, range(len(known) + 1, big_m + 1))
-        known = np.concatenate([known, missing])
-    _LINK_MEMO[params] = known
-    if len(_LINK_MEMO) > _MEMO_POINTS:
-        del _LINK_MEMO[next(iter(_LINK_MEMO))]
-    return known
-
-
-# Sequences of the latest points, oldest first, each keyed by the one number
-# it depends on: its iterator and the values it has yielded.  The unit-disc
-# links read the Erlang CDFs at rho*lam for m = 1, 2, ..., the closed form the
-# incomplete gammas Gamma(j/2, z) for j = 1, 2, ...
-_ERLANG_MEMO: dict[float, tuple[Iterator[float], list[float]]] = {}
-_GAMMA_MEMO: dict[float, tuple[Iterator[float], list[float]]] = {}
-
-
-def _first(memo: dict, key: float, count: int,
-           sequence: Callable[[], Iterator[float]]) -> list[float]:
-    """At least the first ``count`` values of ``sequence()``, memoised under ``key``.
-
-    The key leaves the memo while its values are extended, so a sequence
-    that raised starts afresh on the next call.
-    """
-    values, known = memo.pop(key, None) or (sequence(), [])
-    if len(known) < count:
-        known.extend(itertools.islice(values, count - len(known)))
-    memo[key] = values, known
-    if len(memo) > _MEMO_POINTS:
-        del memo[next(iter(memo))]
-    return known
-
-
-def _half_integer_gammas(z: float) -> Iterator[float]:
-    """Gamma(j/2, z) for j = 1, 2, ...; NaN where it overflows.
+def _half_integer_gammas(z: float, count: int) -> list[float]:
+    """Gamma(j/2, z) for j = 1..count; NaN where it overflows.
 
     A NaN term makes the closed form's sum NaN, which sends it to the
     recurrence, as the overflow itself would.
     """
-    for j in itertools.count(1):
+    gammas = []
+    for j in range(1, count + 1):
         try:
-            yield upper_incomplete_gamma(0.5 * j, z)
+            gammas.append(upper_incomplete_gamma(0.5 * j, z))
         except OverflowError:
-            yield math.nan
+            gammas.append(math.nan)
+    return gammas
 
 
 def _kahan_sum(values) -> tuple[float, float]:
@@ -246,18 +197,27 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
     compensated; when the measured cancellation is too deep for double
     precision, a^2/4 is too large for its terms to be represented, or a term
     or the sum overflows (large m), P(m) comes instead from the three-term
-    recurrence the sum satisfies, which has no alternating terms.  Each
-    Gamma(j/2, a^2/4) is computed once per point.
+    recurrence the sum satisfies, which has no alternating terms.  The sum
+    reads Gamma(j/2, a^2/4) for j = 1..m.
     """
     m = _require_neighbor_index(m)
     if params.ple != 2:
         raise ValueError(f"closed form requires path-loss exponent 2, got {params.ple}")
-    lam = communication_range(params)
-    a = params.rho * lam
+    return _closed_forms(params, range(m, m + 1))[0]
+
+
+def _closed_forms(params: ScenarioParams, ms: range) -> list[float]:
+    """The closed form P(m) for every m in ``ms``, from one list of Gamma(j/2, a^2/4)."""
+    a = params.rho * communication_range(params)
     z = 0.25 * a * a
+    gammas = [] if z >= _EXP_GUARD else _half_integer_gammas(z, max(ms))
+    return [_closed_form(m, a, z, gammas) for m in ms]
+
+
+def _closed_form(m: int, a: float, z: float, gammas: list[float]) -> float:
+    """P(m) from the compensated sum over ``gammas``, or else from the recurrence."""
     if z >= _EXP_GUARD:
         return min(1.0, _closed_form_mp(m, a, z))
-    gammas = _first(_GAMMA_MEMO, z, m, lambda: _half_integer_gammas(z))
     half_a = 0.5 * a
     try:
         terms = [math.comb(m - 1, k) * (-half_a) ** k * gammas[m - 1 - k] for k in range(m)]
@@ -320,10 +280,12 @@ def avg_node_degree(params: ScenarioParams) -> float:
 
 def _one_side_disconnect(params: ScenarioParams, big_m: int) -> float:
     big_m = _require_neighbor_index(big_m)
-    prod = 1.0
-    for p in _p_sl_rayleigh(params, big_m)[:big_m].tolist():
-        prod *= 1.0 - p
-    return prod
+    return _isolation(_link_probabilities(params, range(1, big_m + 1)).tolist())
+
+
+def _isolation(links: list[float]) -> float:
+    """Probability that none of the independent links is present, multiplied in m order."""
+    return math.prod(1.0 - p for p in links)
 
 
 def p_vehicle_one_side_rayleigh(params: ScenarioParams, big_m: int = 10) -> float:
@@ -343,3 +305,49 @@ def p_vehicle_rayleigh(params: ScenarioParams, big_m: int = 10) -> float:
     simulated vehicle connectivity.
     """
     return 1.0 - _one_side_disconnect(params, big_m) ** 2
+
+
+def _snr_value(fn, params: ScenarioParams, m: int) -> float | str:
+    try:
+        return fn(params, m)
+    except DivergentMeanError:
+        return "diverges"
+
+
+def point_rows(params: ScenarioParams, big_m: int,
+               models: Collection[str]) -> list[tuple[str, int | None, str, float | str]]:
+    """Every analytic metric of one operating point, as (model, m, metric, value) rows.
+
+    The unit disc comes first, then Rayleigh, whatever the order of
+    ``models``; m is None for a metric of the whole point, and value is a
+    float, or "diverges" for an infinite average SNR.  Each value equals
+    its public function's, computed in one pass: the unit-disc links of
+    m = 1..big_m from one running sum of the Poisson head, the fading links
+    from one quadrature batch, which both vehicle-connectivity products
+    read, and at path-loss exponent 2 the closed forms from one list of
+    incomplete gammas.
+    """
+    big_m = _require_neighbor_index(big_m)
+    ms = range(1, big_m + 1)
+    lam = communication_range(params)
+    rows = []
+    if "unit_disc" in models:
+        links = list(itertools.islice(scenario._erlang_cdfs(params.rho * lam), big_m))
+        rows.append(("unit_disc", None, "unit_disc_range_m", lam))
+        rows += [("unit_disc", m, "p_single_link", p) for m, p in zip(ms, links)]
+        rows += [("unit_disc", m, "avg_snr", _snr_value(avg_snr_ud, params, m)) for m in ms]
+        rows += [("unit_disc", None, "p_network", p_network_ud(params)),
+                 ("unit_disc", None, "p_vehicle_one_side", links[0]),
+                 ("unit_disc", None, "avg_node_degree", 2.0 * params.rho * lam)]
+    if "rayleigh" in models:
+        links = _link_probabilities(params, ms).tolist()
+        rows += [("rayleigh", m, "p_single_link", p) for m, p in zip(ms, links)]
+        if params.ple == 2:
+            rows += [("rayleigh", m, "p_single_link_closed", p)
+                     for m, p in zip(ms, _closed_forms(params, ms))]
+        rows += [("rayleigh", m, "avg_snr", _snr_value(avg_snr_rayleigh, params, m)) for m in ms]
+        isolated = _isolation(links)
+        rows += [("rayleigh", None, "avg_node_degree", avg_node_degree(params)),
+                 ("rayleigh", big_m, "p_vehicle_one_side", 1.0 - isolated),
+                 ("rayleigh", big_m, "p_vehicle_two_side", 1.0 - isolated**2)]
+    return rows

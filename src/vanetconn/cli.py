@@ -16,7 +16,6 @@ import sys
 from contextlib import nullcontext
 
 from . import analytic, channel, montecarlo
-from .analytic import DivergentMeanError
 from .scenario import ScenarioParams
 
 ANALYTIC_HEADER = ["model", "rho", "psi_db", "m_or_M", "metric", "value"]
@@ -187,52 +186,13 @@ def _make_params(args, rho: float, psi_db: float) -> ScenarioParams:
 
 
 def _analytic_rows(args, points):
-    big_m = args.big_m
-    neighbours = range(1, big_m + 1)
     models = _models(args)
     for rho, psi_db, params in points:
         rho_text, psi_text = _fmt(rho), _fmt(psi_db)
-
-        # a row in ANALYTIC_HEADER order; value is a float, or the text of an
-        # average SNR that diverges
-        def emit(model, m, metric, value):
-            return (model, rho_text, psi_text, "" if m is None else str(m), metric,
-                    value if isinstance(value, str) else _fmt(value))
-
-        r = analytic.communication_range(params)
-        if "unit_disc" in models:
-            yield emit("unit_disc", None, "unit_disc_range_m", r)
-            for m in neighbours:
-                yield emit("unit_disc", m, "p_single_link", analytic.p_sl_ud_mth(params, m))
-            for m in neighbours:
-                yield emit("unit_disc", m, "avg_snr", _snr_value(analytic.avg_snr_ud, params, m))
-            yield emit("unit_disc", None, "p_network", analytic.p_network_ud(params))
-            yield emit("unit_disc", None, "p_vehicle_one_side", analytic.p_sl_ud_mth(params, 1))
-            yield emit("unit_disc", None, "avg_node_degree", 2.0 * rho * r)
-        if "rayleigh" in models:
-            # the vehicle products integrate every link of the span in one
-            # batch; the p_single_link rows read its memo
-            one_side = analytic.p_vehicle_one_side_rayleigh(params, big_m)
-            two_side = analytic.p_vehicle_rayleigh(params, big_m)
-            for m in neighbours:
-                yield emit("rayleigh", m, "p_single_link", analytic.p_sl_rayleigh(params, m))
-            if params.ple == 2:
-                for m in neighbours:
-                    yield emit("rayleigh", m, "p_single_link_closed",
-                               analytic.p_sl_rayleigh_closed_alpha2(params, m))
-            for m in neighbours:
-                yield emit("rayleigh", m, "avg_snr",
-                           _snr_value(analytic.avg_snr_rayleigh, params, m))
-            yield emit("rayleigh", None, "avg_node_degree", analytic.avg_node_degree(params))
-            yield emit("rayleigh", big_m, "p_vehicle_one_side", one_side)
-            yield emit("rayleigh", big_m, "p_vehicle_two_side", two_side)
-
-
-def _snr_value(fn, params, m) -> float | str:
-    try:
-        return fn(params, m)
-    except DivergentMeanError:
-        return "diverges"
+        # rows in ANALYTIC_HEADER order
+        for model, m, metric, value in analytic.point_rows(params, args.big_m, models):
+            yield (model, rho_text, psi_text, "" if m is None else str(m), metric,
+                   value if isinstance(value, str) else _fmt(value))
 
 
 def _simulate_rows(args, points):

@@ -232,8 +232,8 @@ def test_closed_form_mp_gives_the_per_step_bits():
 
 
 def _closed_form_per_call(params, m):
-    # the closed form as it was before each incomplete gamma was computed once
-    # per point: every call computes its own, and one that overflows raises
+    # the closed form with every term calling upper_incomplete_gamma itself,
+    # so that one that overflows raises
     a = params.rho * communication_range(params)
     z = 0.25 * a * a
     if z >= analytic._EXP_GUARD:
@@ -263,20 +263,19 @@ def _closed_form_per_call(params, m):
 ])
 def test_closed_form_gives_the_same_bits_whatever_the_memo_holds(
         make_params, rho, psi_db, neighbours):
+    # a scalar value computes the incomplete gammas of its own m, a span those
+    # of its largest m once for all (no memo is left; the name keeps the id)
     params = make_params(rho=rho, psi_db=psi_db)
     expected = {m: _closed_form_per_call(params, m) for m in neighbours}
-    cold = {}
-    for m in neighbours:
-        analytic._GAMMA_MEMO.clear()
-        cold[m] = p_sl_rayleigh_closed_alpha2(params, m)
-    analytic._GAMMA_MEMO.clear()
-    ascending = {m: p_sl_rayleigh_closed_alpha2(params, m) for m in neighbours}
-    descending = {m: p_sl_rayleigh_closed_alpha2(params, m) for m in reversed(neighbours)}
-    assert cold == ascending == descending == expected
+    scalar = {m: p_sl_rayleigh_closed_alpha2(params, m) for m in neighbours}
+    ms = range(1, max(neighbours) + 1)
+    span = dict(zip(ms, analytic._closed_forms(params, ms)))
+    assert scalar == expected == {m: span[m] for m in neighbours}
 
 
-def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params, monkeypatch):
-    # the uncached route: every p_sl_rayleigh value from its own quadrature
+def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params):
+    # every p_sl_rayleigh value from its own quadrature, against the products'
+    # one batch per span (no cache is left; the name keeps the id)
     def reference(params, big_m):
         prod = 1.0
         for m in range(1, big_m + 1):
@@ -286,21 +285,72 @@ def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params, monke
     first, second = make_params(rho=0.011, psi_db=7.0), make_params(rho=0.023, psi_db=7.0)
     expected = {params: reference(params, 10) for params in (first, second)}
     longer = reference(first, 12)
-    batches = []
-    link_probabilities = analytic._link_probabilities
-
-    def counting(params, ms):
-        batches.append((params, ms))
-        return link_probabilities(params, ms)
-
-    monkeypatch.setattr(analytic, "_link_probabilities", counting)
-    analytic._LINK_MEMO.clear()
     for params in (first, first, second, first, second, second):
         got = (p_vehicle_one_side_rayleigh(params, 10), p_vehicle_rayleigh(params, 10))
         assert got == expected[params]
-    # one batch per point; a longer span integrates only the neighbours it adds
     assert p_vehicle_one_side_rayleigh(first, 12) == longer[0]
-    assert batches == [(first, range(1, 11)), (second, range(1, 11)), (first, range(11, 13))]
+
+
+def _scalar_rows(params, big_m):
+    # the rows of point_rows for both models, each from its public function
+    def snr(fn, m):
+        try:
+            return fn(params, m)
+        except DivergentMeanError:
+            return "diverges"
+
+    ms = range(1, big_m + 1)
+    lam = communication_range(params)
+    rows = [("unit_disc", None, "unit_disc_range_m", lam)]
+    rows += [("unit_disc", m, "p_single_link", p_sl_ud_mth(params, m)) for m in ms]
+    rows += [("unit_disc", m, "avg_snr", snr(avg_snr_ud, m)) for m in ms]
+    rows += [("unit_disc", None, "p_network", p_network_ud(params)),
+             ("unit_disc", None, "p_vehicle_one_side", p_sl_ud_mth(params, 1)),
+             ("unit_disc", None, "avg_node_degree", 2.0 * params.rho * lam)]
+    rows += [("rayleigh", m, "p_single_link", p_sl_rayleigh(params, m)) for m in ms]
+    if params.ple == 2:
+        rows += [("rayleigh", m, "p_single_link_closed", p_sl_rayleigh_closed_alpha2(params, m))
+                 for m in ms]
+    rows += [("rayleigh", m, "avg_snr", snr(avg_snr_rayleigh, m)) for m in ms]
+    rows += [("rayleigh", None, "avg_node_degree", avg_node_degree(params)),
+             ("rayleigh", big_m, "p_vehicle_one_side", p_vehicle_one_side_rayleigh(params, big_m)),
+             ("rayleigh", big_m, "p_vehicle_two_side", p_vehicle_rayleigh(params, big_m))]
+    return rows
+
+
+_MODEL_SUBSETS = [(), ("unit_disc",), ("rayleigh",), ("unit_disc", "rayleigh"),
+                  ("rayleigh", "unit_disc")]
+_PSI_DB = (-10.0, 0.0, 20.0)
+_RHO = (0.0002, 0.019, 0.3)
+
+
+def _assert_rows_match_the_scalars(params, big_m):
+    expected = _scalar_rows(params, big_m)
+    for models in _MODEL_SUBSETS:
+        assert analytic.point_rows(params, big_m, models) == [
+            row for row in expected if row[0] in models], models
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_point_rows_equal_the_scalar_functions(make_params, alpha):
+    for psi_db in _PSI_DB:
+        for rho in _RHO:
+            _assert_rows_match_the_scalars(make_params(rho=rho, psi_db=psi_db, ple=alpha), 10)
+
+
+def test_point_rows_equal_the_scalar_functions_past_the_gamma_overflow(make_params):
+    # the closed form escalates from m = 340, and from m = 344 an incomplete
+    # gamma overflows
+    _assert_rows_match_the_scalars(make_params(rho=0.0002, psi_db=-10.0), 400)
+
+
+def test_point_rows_do_not_depend_on_the_points_before(make_params):
+    points = [make_params(rho=rho, psi_db=psi_db, ple=alpha)
+              for alpha in (1, 2, 3) for psi_db in _PSI_DB for rho in _RHO]
+    models = ("unit_disc", "rayleigh")
+    forward = [analytic.point_rows(params, 10, models) for params in points]
+    again = [analytic.point_rows(params, 10, models) for params in [*reversed(points), *points]]
+    assert again == [*reversed(forward), *forward]
 
 
 def _p_sl_rayleigh_mp(params, m):

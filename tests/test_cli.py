@@ -304,7 +304,6 @@ def test_analytic_point_runs_one_quadrature_call(tmp_path, monkeypatch):
         return integrate(f, upper)
 
     monkeypatch.setattr(analytic, "integrate_semi_infinite", counting)
-    analytic._LINK_MEMO.clear()
     code, _ = _run(tmp_path, "analytic", "--rho", "0.019,0.023", "--psi-db", "15",
                    "--model", "rayleigh", "--big-m", "10")
     assert code == 0
@@ -316,7 +315,6 @@ def test_analytic_link_value_does_not_depend_on_the_span(tmp_path):
     # shorter span are the same strings
     spans = {}
     for big_m in ("3", "10"):
-        analytic._LINK_MEMO.clear()
         code, out = _run(tmp_path, "analytic", "--rho", "0.006,0.019", "--psi-db", "0,15",
                          "--model", "rayleigh", "--big-m", big_m)
         assert code == 0
@@ -324,23 +322,6 @@ def test_analytic_link_value_does_not_depend_on_the_span(tmp_path):
                         if r["metric"] == "p_single_link"]
     assert spans["3"] == [row for row in spans["10"] if int(row[2]) <= 3]
     assert len(spans["3"]) == 12
-
-
-def test_vehicle_rows_read_the_link_memo_directly(tmp_path, monkeypatch):
-    # p_sl_rayleigh runs once per neighbour, for the p_single_link rows only;
-    # the vehicle-connectivity products read its memo without the public call
-    calls = []
-    p_sl_rayleigh = analytic.p_sl_rayleigh
-
-    def counting(params, m=1):
-        calls.append(m)
-        return p_sl_rayleigh(params, m)
-
-    monkeypatch.setattr(analytic, "p_sl_rayleigh", counting)
-    code, _ = _run(tmp_path, "analytic", "--rho", "0.019", "--psi-db", "15",
-                   "--model", "rayleigh", "--big-m", "3")
-    assert code == 0
-    assert calls == [1, 2, 3]
 
 
 def test_failed_cell_is_an_error_row_and_the_grid_continues(tmp_path):

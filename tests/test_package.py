@@ -33,3 +33,19 @@ def test_every_package_import_exists():
         else:
             assert hasattr(importlib.import_module(f"vanetconn.{module}"), name), (module, name)
             assert hasattr(vanetconn, name), name
+
+
+@pytest.mark.parametrize("name", [*SUBMODULES, "__main__"])
+def test_no_module_imports_a_name_it_never_uses(name):
+    # the root's imports are its exports, checked above
+    tree = ast.parse((Path(vanetconn.__file__).parent / f"{name}.py").read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and
+                not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    assert sorted(imported - used - exported) == []

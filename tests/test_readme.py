@@ -25,6 +25,8 @@ def test_library_example_gives_its_commented_values(capsys):
     for comment, value in shown.items():
         assert f"# {comment}" in block
         assert value == comment
+    model, m, metric, value = namespace["rows"][1]
+    assert f"# ({model!r}, {m}, {metric!r}, {value:.4f}...)" in block
     sweep = " / ".join(capsys.readouterr().out.splitlines())
     commented = "100 unit_disc 0.0 / 100 rayleigh 0.0 / 190 unit_disc 0.215 / 190 rayleigh 0.515"
     assert f"# {commented} / ..." in block
