@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "p_vehicle_one_side_rayleigh",
     "p_vehicle_rayleigh",
     "point_rows",
+    "grid_rows",
 ]
 
 # beyond z = rho^2 lam^2 / 4 = 700 the incomplete gammas, of order e^-z, near
@@ -44,6 +45,12 @@ _FORWARD_BELOW = 0.5
 # the rounding of z = a*a/4 is a first-order effect while its square, the
 # second-order term, stays below double precision (a up to about 2e4)
 _FIRST_ORDER_DELTA = 2.0**-26
+# from this many backward recurrences a batch runs them as one numpy
+# recurrence; one lane in numpy costs about 100 times the scalar loop
+_MIN_LANES = 64
+# points whose closed forms grid_rows computes, and escalates, together; it
+# holds about big_m floats per point while the chunk's rows stream
+_GRID_CHUNK = 256
 
 
 class DivergentMeanError(ValueError):
@@ -106,7 +113,13 @@ def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
     power = np.array(ms, dtype=float)[:, None, None] - 1.0
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return np.exp(log_norm + power * np.log(x) - rho * x - c * x**alpha)
+        # log_norm + power log x - rho x - c x^alpha, built in one array
+        y = np.log(x)
+        y *= power
+        y += log_norm
+        y -= rho * x
+        y -= c * x**alpha
+        return np.exp(y, out=y)
 
     values, _ = integrate_semi_infinite(integrand, upper)
     return np.clip(values, 0.0, 1.0)
@@ -153,8 +166,11 @@ def _closed_form_mp(m: int, a: float, z: float) -> float:
     at a^2/4; adding the first-order term in z - a^2/4 gives the value at
     that same z, so both routes compute one function.  With z exact, the
     extra part of dP/dz is (1 - a/(2 sqrt(z)))^(m-1): 0 for m >= 2 and 1 for
-    m = 1.  The benchmark's tracer counts the calls of this function as the
-    closed form's escalations.
+    m = 1.  This is the single-value reference: the scalar functions and
+    batches of fewer than ``_MIN_LANES`` backward recurrences call it, and
+    the benchmark's tracer counts those calls as the closed form's
+    escalations.  Larger batches solve their backward recurrences together
+    in :func:`_backward_products`, to the same bits, and are not counted.
     """
     if math.isinf(a) or math.isinf(z):
         return 1.0
@@ -167,7 +183,7 @@ def _closed_form_mp(m: int, a: float, z: float) -> float:
         a2 = a * a
         # 2k/a^2 for k from far above m down to 1, each rounded as 2.0 * k / a2;
         # the steps above m only settle the ratio
-        coefficients = (2.0 * np.arange(m + 200 + math.ceil(2000.0 / a2), 0, -1) / a2).tolist()
+        coefficients = (2.0 * np.arange(_backward_depth(m, a2), 0, -1) / a2).tolist()
         ratio = 0.0
         for c in coefficients[:-m]:
             ratio = 1.0 / (1.0 + c * ratio)
@@ -175,13 +191,87 @@ def _closed_form_mp(m: int, a: float, z: float) -> float:
         for c in coefficients[-m:]:
             ratio = 1.0 / (1.0 + c * ratio)
             value *= ratio
-    # z - a^2/4 exactly, as one correctly rounded division of integers
+    return _at_z(value, m, _z_offset(a, z))
+
+
+def _backward_depth(m: int, a2: float) -> int:
+    """Step the backward recurrence of P(m) at a^2 = ``a2`` starts from."""
+    return m + 200 + math.ceil(2000.0 / a2)
+
+
+def _z_offset(a: float, z: float) -> float:
+    """z - a^2/4 exactly, as one correctly rounded division of integers."""
     an, ad = a.as_integer_ratio()
     zn, zd = z.as_integer_ratio()
-    delta = (4 * zn * ad * ad - an * an * zd) / (4 * zd * ad * ad)
+    return (4 * zn * ad * ad - an * an * zd) / (4 * zd * ad * ad)
+
+
+def _at_z(value: float, m: int, delta: float) -> float:
+    """The recurrence's P(m) at a^2/4 moved to z = a^2/4 + delta by its first-order term."""
     if abs(delta) < _FIRST_ORDER_DELTA:
         value += delta * (value - (m == 1))
     return value
+
+
+def _closed_forms_mp(lanes: list[tuple[int, float, float]]) -> list[float]:
+    """``_closed_form_mp(m, a, z)`` of every lane (m, a, z), to the same bits.
+
+    With at least ``_MIN_LANES`` backward recurrences (finite a >= 0.5) in
+    the batch, those run together in :func:`_backward_products`; the other
+    lanes, and every lane of a smaller batch, call ``_closed_form_mp``.
+    """
+    backward = [not (math.isinf(a) or math.isinf(z) or a < _FORWARD_BELOW) for _, a, z in lanes]
+    if sum(backward) < _MIN_LANES:
+        return [_closed_form_mp(*lane) for lane in lanes]
+    deep = [lane for lane, b in zip(lanes, backward) if b]
+    products = iter(_backward_products([m for m, _, _ in deep], [a * a for _, a, _ in deep]))
+    # one offset per point: its lanes share a and z
+    offsets = {az: _z_offset(*az) for az in {(a, z) for _, a, z in deep}}
+    return [_at_z(next(products), m, offsets[a, z]) if b else _closed_form_mp(m, a, z)
+            for (m, a, z), b in zip(lanes, backward)]
+
+
+def _backward_products(ms: list[int], a2s: list[float]) -> list[float]:
+    """prod_{k<=m} r(k) of every lane (m, a^2), as ``_closed_form_mp`` forms it.
+
+    Each lane runs r(k) = 1 / (1 + (2k/a^2) r(k+1)) from r = 0 at its own
+    depth down to k = 1, with the same operations as the scalar loop, so
+    every lane gets its bits.  Sorted deepest first, the lanes active at
+    step k are a prefix, and each step is a few numpy operations on it.  The
+    steps above the ``_MIN_LANES``-th deepest start, where fewer lanes are
+    active, run as Python floats; a batch has at least ``_MIN_LANES`` lanes.
+    """
+    depths = np.array([_backward_depth(m, a2) for m, a2 in zip(ms, a2s)])
+    order = np.argsort(-depths, kind="stable")
+    m, a2, depth = np.array(ms)[order], np.array(a2s)[order], depths[order]
+    start = int(depth[_MIN_LANES - 1])
+    ratio = np.zeros(len(ms))
+    value = np.ones(len(ms))
+    top = slice(_MIN_LANES - 1)
+    for i, (m_i, a2_i, depth_i) in enumerate(zip(m[top].tolist(), a2[top].tolist(),
+                                                 depth[top].tolist())):
+        r, v = 0.0, 1.0
+        for k in range(depth_i, start, -1):
+            r = 1.0 / (1.0 + 2.0 * k / a2_i * r)
+            if k <= m_i:
+                v *= r
+        ratio[i], value[i] = r, v
+    # active[k]: how many lanes start at step k or above
+    active = np.searchsorted(-depth, -np.arange(start + 1), side="right").tolist()
+    top_m = max(ms)
+    coefficient = np.empty(len(ms))
+    for k in range(start, 0, -1):
+        n = active[k]
+        c, r = coefficient[:n], ratio[:n]
+        np.divide(2.0 * k, a2[:n], out=c)
+        r *= c
+        r += 1.0
+        np.divide(1.0, r, out=r)
+        if k <= top_m:
+            np.multiply(value[:n], r, out=value[:n], where=m[:n] >= k)
+    products = np.empty(len(ms))
+    products[order] = value
+    return products.tolist()
 
 
 def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
@@ -203,32 +293,42 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
     m = _require_neighbor_index(m)
     if params.ple != 2:
         raise ValueError(f"closed form requires path-loss exponent 2, got {params.ple}")
-    return _closed_forms(params, range(m, m + 1))[0]
+    return _closed_forms([params], range(m, m + 1))[0][0]
 
 
-def _closed_forms(params: ScenarioParams, ms: range) -> list[float]:
-    """The closed form P(m) for every m in ``ms``, from one list of Gamma(j/2, a^2/4)."""
-    a = params.rho * communication_range(params)
-    z = 0.25 * a * a
-    gammas = [] if z >= _EXP_GUARD else _half_integer_gammas(z, max(ms))
-    return [_closed_form(m, a, z, gammas) for m in ms]
+def _closed_forms(points: list[ScenarioParams], ms: range) -> list[list[float]]:
+    """The closed form P(m), m in ``ms``, of every point; one solve escalates them all.
+
+    Each point sums over one list of its Gamma(j/2, a^2/4); the values its
+    sum cannot certify go to ``_closed_forms_mp`` with every other point's.
+    """
+    sums, lanes = [], []
+    for params in points:
+        a = params.rho * communication_range(params)
+        z = 0.25 * a * a
+        gammas = [] if z >= _EXP_GUARD else _half_integer_gammas(z, max(ms))
+        point = [_closed_form_sum(m, a, z, gammas) for m in ms]
+        lanes += [(m, a, z) for m, p in zip(ms, point) if p is None]
+        sums.append(point)
+    escalated = iter(_closed_forms_mp(lanes))
+    return [[min(1.0, next(escalated) if p is None else p) for p in point] for point in sums]
 
 
-def _closed_form(m: int, a: float, z: float, gammas: list[float]) -> float:
-    """P(m) from the compensated sum over ``gammas``, or else from the recurrence."""
+def _closed_form_sum(m: int, a: float, z: float, gammas: list[float]) -> float | None:
+    """P(m) from the compensated sum over ``gammas``, or None where it must escalate."""
     if z >= _EXP_GUARD:
-        return min(1.0, _closed_form_mp(m, a, z))
+        return None
     half_a = 0.5 * a
     try:
         terms = [math.comb(m - 1, k) * (-half_a) ** k * gammas[m - 1 - k] for k in range(m)]
     except OverflowError:
-        return min(1.0, _closed_form_mp(m, a, z))
+        return None
     total, abs_total = _kahan_sum(terms)
     # written so that a NaN or infinite total escalates too
     if not (total > 0.0 and abs_total / total <= _CANCELLATION_ESCALATE):
-        return min(1.0, _closed_form_mp(m, a, z))
+        return None
     log_pref = m * math.log(a) + z - math.log(2.0) - math.lgamma(m)
-    return min(1.0, math.exp(log_pref + math.log(total)))
+    return math.exp(log_pref + math.log(total))
 
 
 def avg_snr_rayleigh(params: ScenarioParams, m: int) -> float:
@@ -325,10 +425,33 @@ def point_rows(params: ScenarioParams, big_m: int,
     m = 1..big_m from one running sum of the Poisson head, the fading links
     from one quadrature batch, which both vehicle-connectivity products
     read, and at path-loss exponent 2 the closed forms from one list of
-    incomplete gammas.
+    incomplete gammas.  This is the one-point case of :func:`grid_rows`.
+    """
+    return next(grid_rows([params], big_m, models))
+
+
+def grid_rows(points: Iterable[ScenarioParams], big_m: int,
+              models: Collection[str]) -> Iterator[list[tuple[str, int | None, str, float | str]]]:
+    """The rows of :func:`point_rows` for each point in turn, the same values.
+
+    Works through ``points`` in chunks of ``_GRID_CHUNK``: the closed forms
+    of a whole chunk come first, with one solve of every escalation in it,
+    then each point's rows are computed and yielded, so rows do not pile up.
     """
     big_m = _require_neighbor_index(big_m)
     ms = range(1, big_m + 1)
+    points = iter(points)
+    while chunk := list(itertools.islice(points, _GRID_CHUNK)):
+        # which points have closed-form rows
+        closed = ["rayleigh" in models and params.ple == 2 for params in chunk]
+        forms = iter(_closed_forms(list(itertools.compress(chunk, closed)), ms))
+        for params, has_forms in zip(chunk, closed):
+            yield _point_rows(params, ms, models, next(forms) if has_forms else None)
+
+
+def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
+                closed: list[float] | None) -> list[tuple[str, int | None, str, float | str]]:
+    big_m = len(ms)
     lam = communication_range(params)
     rows = []
     if "unit_disc" in models:
@@ -342,9 +465,8 @@ def point_rows(params: ScenarioParams, big_m: int,
     if "rayleigh" in models:
         links = _link_probabilities(params, ms).tolist()
         rows += [("rayleigh", m, "p_single_link", p) for m, p in zip(ms, links)]
-        if params.ple == 2:
-            rows += [("rayleigh", m, "p_single_link_closed", p)
-                     for m, p in zip(ms, _closed_forms(params, ms))]
+        if closed is not None:
+            rows += [("rayleigh", m, "p_single_link_closed", p) for m, p in zip(ms, closed)]
         rows += [("rayleigh", m, "avg_snr", _snr_value(avg_snr_rayleigh, params, m)) for m in ms]
         isolated = _isolation(links)
         rows += [("rayleigh", None, "avg_node_degree", avg_node_degree(params)),

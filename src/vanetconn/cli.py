@@ -186,11 +186,11 @@ def _make_params(args, rho: float, psi_db: float) -> ScenarioParams:
 
 
 def _analytic_rows(args, points):
-    models = _models(args)
-    for rho, psi_db, params in points:
+    rows = analytic.grid_rows([params for _, _, params in points], args.big_m, _models(args))
+    for (rho, psi_db, _), point in zip(points, rows, strict=True):
         rho_text, psi_text = _fmt(rho), _fmt(psi_db)
         # rows in ANALYTIC_HEADER order
-        for model, m, metric, value in analytic.point_rows(params, args.big_m, models):
+        for model, m, metric, value in point:
             yield (model, rho_text, psi_text, "" if m is None else str(m), metric,
                    value if isinstance(value, str) else _fmt(value))
 

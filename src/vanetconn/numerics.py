@@ -48,6 +48,17 @@ def _gauss_legendre():
     return np.concatenate([fine_t, check_t]), fine_w, check_w
 
 
+@functools.cache
+def _panel_edges(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right ends of ``panels`` equal panels on [0, 1].
+
+    Read-only, since every integration with that panel count shares them.
+    """
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges.flags.writeable = False
+    return edges[:-1], edges[1:]
+
+
 def _panel_rule(f, lo, hi):
     """Fine-rule value and |fine - check| of every panel [lo, hi], shaped (M, K)."""
     nodes, fine_w, check_w = _gauss_legendre()
@@ -88,12 +99,12 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], upper):
     failing = np.ones(width.shape[0], dtype=bool)
     panels = _QUAD_PANELS
     while True:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        value, err = _panel_rule(f, width * edges[:-1], width * edges[1:])
+        left, right = _panel_edges(panels)
+        value, err = _panel_rule(f, width * left, width * right)
         value, err = value[failing], err[failing]
         if not np.isfinite(value).all() or not np.isfinite(err).all():
             raise QuadratureError(f"integrand not finite on [0, {upper.max():g}]")
-        totals[failing] = [math.fsum(v) for v in value]
+        totals[failing] = [math.fsum(v) for v in value.tolist()]
         estimates[failing] = err.sum(axis=1)
         allowed = np.maximum(_QUAD_REL_TOL * np.abs(totals), _QUAD_ABS_FLOOR)
         failing = estimates > allowed

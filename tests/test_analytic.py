@@ -220,15 +220,82 @@ def _closed_form_mp_per_step(m, a, z):
     return value
 
 
-def test_closed_form_mp_gives_the_per_step_bits():
+def _seeded_lanes():
+    # (m, a, a*a/4): mostly the backward branch (a >= 0.5), whose loop
+    # changed; some forward
     rng = np.random.default_rng(1812)
-    # mostly the backward branch (a >= 0.5), whose loop changed; some forward
     a = np.concatenate([rng.uniform(0.5, 40.0, 600), np.exp(rng.uniform(-7.0, math.log(0.5), 100))])
     m = rng.integers(1, 41, a.size)
-    for m_i, a_i in zip(m.tolist(), a.tolist()):
-        z = 0.25 * a_i * a_i
+    return [(m_i, a_i, 0.25 * a_i * a_i) for m_i, a_i in zip(m.tolist(), a.tolist())]
+
+
+def test_closed_form_mp_gives_the_per_step_bits():
+    for m_i, a_i, z in _seeded_lanes():
         got = analytic._closed_form_mp(m_i, a_i, z)
         assert got == _closed_form_mp_per_step(m_i, a_i, z), (m_i, a_i)
+
+
+def _assert_lanes_give_the_scalar_bits(lanes):
+    got = analytic._closed_forms_mp(lanes)
+    assert len(got) == len(lanes)
+    for lane, value in zip(lanes, got):
+        assert value == analytic._closed_form_mp(*lane), lane
+
+
+def _backward(lanes):
+    return [(m, a, z) for m, a, z in lanes if a >= analytic._FORWARD_BELOW and not math.isinf(a)]
+
+
+def test_lane_solver_gives_the_scalar_bits_on_the_seeded_lanes():
+    lanes = _seeded_lanes()
+    assert len(_backward(lanes)) == 600
+    _assert_lanes_give_the_scalar_bits(lanes)
+
+
+def test_lane_solver_gives_the_scalar_bits_on_the_corner_grid(make_params, monkeypatch):
+    # the escalations of the --big-m 400 golden grid, taken from its closed forms
+    points = [make_params(rho=rho, psi_db=psi_db)
+              for rho in (0.0002, 0.002, 0.03, 0.3) for psi_db in (-10.0, 0.0, 20.0)]
+    batches = []
+    solve = analytic._closed_forms_mp
+
+    def capture(lanes):
+        batches.append(lanes)
+        return solve(lanes)
+
+    monkeypatch.setattr(analytic, "_closed_forms_mp", capture)
+    analytic._closed_forms(points, range(1, 401))
+    monkeypatch.undo()
+    [lanes] = batches
+    backward = _backward(lanes)
+    assert len(backward) == 3483
+    assert max(analytic._backward_depth(m, a * a) for m, a, _ in backward) == 3106
+    _assert_lanes_give_the_scalar_bits(lanes)
+
+
+def test_lane_solver_gives_the_scalar_bits_for_deep_lanes():
+    # a = 0.5 starts 8 000 steps deeper than the 100 shallow lanes, so nearly
+    # all of its steps run before the numpy recurrence takes over; m = 300
+    # at a = 20 starts multiplying its ratios before it does
+    shallow = [(m, 30.0 + 0.1 * m, 0.25 * (30.0 + 0.1 * m) ** 2) for m in range(1, 101)]
+    deep = [(40, 0.5, 0.0625), (300, 20.0, 100.0)]
+    assert analytic._closed_form_mp(*deep[1]) > 0.0
+    _assert_lanes_give_the_scalar_bits([*shallow[:50], deep[0], *shallow[50:], deep[1]])
+
+
+@pytest.mark.parametrize("count", [63, 64, 65])
+def test_lane_solver_runs_numpy_from_the_lane_threshold(monkeypatch, count):
+    lanes = [(1 + k % 40, 0.5 + 0.37 * k, 0.25 * (0.5 + 0.37 * k) ** 2) for k in range(count)]
+    calls = []
+    products = analytic._backward_products
+
+    def counting(ms, a2s):
+        calls.append(len(ms))
+        return products(ms, a2s)
+
+    monkeypatch.setattr(analytic, "_backward_products", counting)
+    _assert_lanes_give_the_scalar_bits(lanes)
+    assert calls == ([] if count < analytic._MIN_LANES else [count])
 
 
 def _closed_form_per_call(params, m):
@@ -269,7 +336,7 @@ def test_closed_form_gives_the_same_bits_whatever_the_memo_holds(
     expected = {m: _closed_form_per_call(params, m) for m in neighbours}
     scalar = {m: p_sl_rayleigh_closed_alpha2(params, m) for m in neighbours}
     ms = range(1, max(neighbours) + 1)
-    span = dict(zip(ms, analytic._closed_forms(params, ms)))
+    span = dict(zip(ms, analytic._closed_forms([params], ms)[0]))
     assert scalar == expected == {m: span[m] for m in neighbours}
 
 

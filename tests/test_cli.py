@@ -310,6 +310,65 @@ def test_analytic_point_runs_one_quadrature_call(tmp_path, monkeypatch):
     assert calls == [(10,), (10,)]
 
 
+def test_analytic_grid_escalates_in_one_lane_solve(tmp_path, monkeypatch):
+    # every escalated closed form of the 165-point grid in one batch
+    calls = []
+    solve = analytic._closed_forms_mp
+
+    def counting(lanes):
+        calls.append(len(lanes))
+        return solve(lanes)
+
+    monkeypatch.setattr(analytic, "_closed_forms_mp", counting)
+    code, _ = _run(tmp_path, "analytic", "--rho", "0.002:0.03:0.002", "--psi-db", "0:20:2")
+    assert code == 0
+    assert calls == [706]
+
+
+# 30 x 10 points: more than one chunk, both with escalations at a^2/4 >= 700
+_TWO_CHUNK_GRID = ["--rho", "0.01:0.3:0.01", "--psi-db", "0:18:2", "--big-m", "12"]
+
+
+def test_analytic_grid_past_one_chunk_gives_the_per_point_bytes(tmp_path, monkeypatch):
+    solves = []
+    products = analytic._backward_products
+
+    def counting(ms, a2s):
+        solves.append(len(ms))
+        return products(ms, a2s)
+
+    monkeypatch.setattr(analytic, "_backward_products", counting)
+    code, out = _run(tmp_path, "analytic", *_TWO_CHUNK_GRID)
+    assert code == 0
+    assert len(solves) == 2
+    grid = out.read_bytes()
+    # one point a chunk: each point's rows are its point_rows, every
+    # escalation its own _closed_form_mp call
+    monkeypatch.setattr(analytic, "_GRID_CHUNK", 1)
+    code, out = _run(tmp_path, "analytic", *_TWO_CHUNK_GRID)
+    assert code == 0
+    assert len(solves) == 2
+    assert out.read_bytes() == grid
+
+
+def test_analytic_grid_error_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    # raised while the second chunk is solved, after the first chunk's rows
+    solves = []
+    products = analytic._backward_products
+
+    def failing(ms, a2s):
+        solves.append(len(ms))
+        if len(solves) == 2:
+            raise ArithmeticError("lane solve failed")
+        return products(ms, a2s)
+
+    monkeypatch.setattr(analytic, "_backward_products", failing)
+    code, _ = _run(tmp_path, "analytic", *_TWO_CHUNK_GRID)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["vanetconn: lane solve failed"]
+    assert len(solves) == 2
+
+
 def test_analytic_link_value_does_not_depend_on_the_span(tmp_path):
     # each point integrates a batch as long as its span; the rows of a
     # shorter span are the same strings

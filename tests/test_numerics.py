@@ -97,6 +97,19 @@ def test_link_integrals_certify_on_their_first_panels(monkeypatch, make_params):
                 assert calls == [(400, 16)], (ple, psi_db, rho)
 
 
+def test_cached_panel_edges_are_read_only():
+    # every integration with a panel count shares one pair of edge arrays
+    for panels in (16, 32):
+        left, right = numerics._panel_edges(panels)
+        assert numerics._panel_edges(panels)[0] is left
+        assert left.tolist() == np.linspace(0.0, 1.0, panels + 1)[:-1].tolist()
+        assert right.tolist() == np.linspace(0.0, 1.0, panels + 1)[1:].tolist()
+        for edges in (left, right):
+            assert not edges.flags.writeable
+            with pytest.raises(ValueError):
+                edges[0] = 0.5
+
+
 def test_upper_gamma_shape_one_is_exponential():
     for x in (0.3, 2.0, 10.0, 50.0):
         assert abs(upper_incomplete_gamma(1.0, x) - math.exp(-x)) < 1e-13 * math.exp(-x)
