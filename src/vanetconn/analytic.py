@@ -49,7 +49,7 @@ _FIRST_ORDER_DELTA = 2.0**-26
 # recurrence; one lane in numpy costs about 100 times the scalar loop
 _MIN_LANES = 64
 # points whose closed forms grid_rows computes, and escalates, together; it
-# holds about big_m floats per point while the chunk's rows stream
+# holds a few arrays of big_m floats per point while the chunk's rows stream
 _GRID_CHUNK = 256
 
 
@@ -140,17 +140,19 @@ def _half_integer_gammas(z: float, count: int) -> list[float]:
     return gammas
 
 
-def _kahan_sum(values) -> tuple[float, float]:
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    for v in values:
-        abs_total += abs(v)
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total, abs_total
+def _or_inf(f, args: Iterable) -> list[float]:
+    """f(x) for each x in ``args``, inf where it overflows.
+
+    An inf term makes the closed form's sum inf or NaN, which sends it to
+    the recurrence, as the ``OverflowError`` itself would.
+    """
+    values = []
+    for x in args:
+        try:
+            values.append(f(x))
+        except OverflowError:
+            values.append(math.inf)
+    return values
 
 
 def _closed_form_mp(m: int, a: float, z: float) -> float:
@@ -299,36 +301,66 @@ def p_sl_rayleigh_closed_alpha2(params: ScenarioParams, m: int = 1) -> float:
 def _closed_forms(points: list[ScenarioParams], ms: range) -> list[list[float]]:
     """The closed form P(m), m in ``ms``, of every point; one solve escalates them all.
 
-    Each point sums over one list of its Gamma(j/2, a^2/4); the values its
-    sum cannot certify go to ``_closed_forms_mp`` with every other point's.
+    The sums of every point run together in :func:`_closed_form_sums`; the
+    values they cannot certify go to ``_closed_forms_mp`` in one batch, in
+    point order, then m order.
     """
-    sums, lanes = [], []
-    for params in points:
-        a = params.rho * communication_range(params)
-        z = 0.25 * a * a
-        gammas = [] if z >= _EXP_GUARD else _half_integer_gammas(z, max(ms))
-        point = [_closed_form_sum(m, a, z, gammas) for m in ms]
-        lanes += [(m, a, z) for m, p in zip(ms, point) if p is None]
-        sums.append(point)
-    escalated = iter(_closed_forms_mp(lanes))
-    return [[min(1.0, next(escalated) if p is None else p) for p in point] for point in sums]
+    a_s = [params.rho * communication_range(params) for params in points]
+    z_s = [0.25 * a * a for a in a_s]
+    values, certified = _closed_form_sums(a_s, z_s, ms)
+    rows, cols = np.nonzero(~certified)
+    values[rows, cols] = _closed_forms_mp([(ms[j], a_s[i], z_s[i])
+                                           for i, j in zip(rows.tolist(), cols.tolist())])
+    return np.minimum(values, 1.0).tolist()
 
 
-def _closed_form_sum(m: int, a: float, z: float, gammas: list[float]) -> float | None:
-    """P(m) from the compensated sum over ``gammas``, or None where it must escalate."""
-    if z >= _EXP_GUARD:
-        return None
-    half_a = 0.5 * a
-    try:
-        terms = [math.comb(m - 1, k) * (-half_a) ** k * gammas[m - 1 - k] for k in range(m)]
-    except OverflowError:
-        return None
-    total, abs_total = _kahan_sum(terms)
-    # written so that a NaN or infinite total escalates too
-    if not (total > 0.0 and abs_total / total <= _CANCELLATION_ESCALATE):
-        return None
-    log_pref = m * math.log(a) + z - math.log(2.0) - math.lgamma(m)
-    return math.exp(log_pref + math.log(total))
+def _closed_form_sums(a_s: list[float], z_s: list[float],
+                      ms: range) -> tuple[np.ndarray, np.ndarray]:
+    """P(m) from the compensated sum of every (a, m), as numpy lanes, and which it certifies.
+
+    Lane (m, a) sums the terms C(m-1, k) (-a/2)^k Gamma((m-k)/2, z), k from
+    0 to m-1, with the operations of a scalar Kahan loop: each term is the
+    binomial, converted to a float as Python converts the int, times the
+    power from Python's ``**``, times the gamma, so every lane gets the
+    scalar bits.  Rows run from the largest m down, so the lanes still
+    summing at step k are a prefix.  An overflowing power or binomial is
+    inf and a gamma that overflows, or every gamma at z >= ``_EXP_GUARD``,
+    is NaN, so their sums fail the same test as a cancellation too deep for
+    double precision, and are not certified.  The prefactor's log, lgamma
+    and exp are scalar ``math`` calls.  Both arrays are shaped (len(a_s),
+    len(ms)).
+    """
+    top = ms[-1]
+    # row j-1 holds Gamma(j/2, z), row k (-a/2)^k, one column a point
+    gammas = np.array([_half_integer_gammas(z, top) if z < _EXP_GUARD else [math.nan] * top
+                       for z in z_s]).reshape(len(z_s), top).T
+    powers = np.array([_or_inf((-0.5 * a).__pow__, range(top))
+                       for a in a_s]).reshape(len(a_s), top).T
+    m_rows = np.arange(top, ms.start - 1, -1)
+    total = np.zeros((len(ms), len(a_s)))
+    comp = np.zeros_like(total)
+    abs_total = np.zeros_like(total)
+    # inf and NaN terms are expected: the test below rejects their sums
+    with np.errstate(all="ignore"):
+        for k in range(top):
+            # the rows with m > k
+            n = min(len(ms), top - k)
+            binomials = _or_inf(lambda m, k=k: float(math.comb(m - 1, k)), m_rows[:n].tolist())
+            terms = np.multiply(np.array(binomials)[:, None], powers[k])
+            terms *= gammas[top - k - n:top - k][::-1]
+            abs_total[:n] += np.abs(terms)
+            terms -= comp[:n]
+            step = total[:n] + terms
+            np.subtract(step, total[:n], out=comp[:n])
+            comp[:n] -= terms
+            total[:n] = step
+        certified = (total > 0.0) & (abs_total / total <= _CANCELLATION_ESCALATE)
+    log_pref = (m_rows[:, None] * np.array([math.log(a) for a in a_s]) + np.array(z_s)
+                - math.log(2.0) - np.array([math.lgamma(m) for m in m_rows.tolist()])[:, None])
+    values = np.zeros_like(total)
+    values[certified] = [math.exp(p + math.log(t)) for p, t in
+                         zip(log_pref[certified].tolist(), total[certified].tolist())]
+    return values[::-1].T, certified[::-1].T
 
 
 def avg_snr_rayleigh(params: ScenarioParams, m: int) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -186,13 +187,13 @@ def _make_params(args, rho: float, psi_db: float) -> ScenarioParams:
 
 
 def _analytic_rows(args, points):
+    """One text block a point, its lines in ANALYTIC_HEADER order."""
     rows = analytic.grid_rows([params for _, _, params in points], args.big_m, _models(args))
     for (rho, psi_db, _), point in zip(points, rows, strict=True):
-        rho_text, psi_text = _fmt(rho), _fmt(psi_db)
-        # rows in ANALYTIC_HEADER order
-        for model, m, metric, value in point:
-            yield (model, rho_text, psi_text, "" if m is None else str(m), metric,
-                   value if isinstance(value, str) else _fmt(value))
+        where = f"{rho:.12g},{psi_db:.12g}"
+        yield "".join([f"{model},{where},{'' if m is None else m},{metric},"
+                       f"{value if isinstance(value, str) else format(value, '.12g')}\n"
+                       for model, m, metric, value in point])
 
 
 def _simulate_rows(args, points):
@@ -209,19 +210,19 @@ def _simulate_rows(args, points):
     # sweep rows follow point order, then model order
     labels = [(rho, psi_db) for rho, psi_db, _ in points for _ in models]
     trials, seed = str(args.trials), str(args.seed)
-    # rows in SIMULATE_HEADER order
+    # lines in SIMULATE_HEADER order
     for (rho, psi_db), row in zip(labels, rows, strict=True):
         point = (row.model, _fmt(rho), _fmt(psi_db))
         if row.error is not None:
-            yield (*point, "", trials, "error", "", "", "", seed, "", row.error)
+            yield _line(*point, "", trials, "error", "", "", "", seed, "", _csv_field(row.error))
             continue
         result = row.result
         n_vehicles = str(row.params.n_vehicles)
         mismatches = str(result.decider_mismatches()) if args.decider == "both" else ""
 
         def emit(metric, estimate, lo, hi):
-            return (*point, n_vehicles, trials, metric, _fmt(estimate), _fmt(lo), _fmt(hi),
-                    seed, mismatches, "")
+            return _line(*point, n_vehicles, trials, metric, _fmt(estimate), _fmt(lo), _fmt(hi),
+                         seed, mismatches, "")
 
         net = result.network_connectivity()
         yield emit("network_connectivity", net.estimate, net.ci_lo, net.ci_hi)
@@ -236,10 +237,23 @@ def _simulate_rows(args, points):
             yield emit(f"single_link_m{m}", link.estimate, link.ci_lo, link.ci_hi)
 
 
-def _write_csv(handle, header: list[str], rows) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _line(*fields: str) -> str:
+    """One CSV line of fields that need no quoting."""
+    return ",".join(fields) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """Non-empty free text as ``csv.writer`` writes it, quoted where csv would quote it."""
+    buffer = io.StringIO()
+    # the file's own line terminator: csv quotes by it
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
+
+
+def _write_csv(handle, header: list[str], lines) -> None:
+    """The header, then each of ``lines`` as it comes: rows stream a point at a time."""
+    handle.write(_line(*header))
+    handle.writelines(lines)
 
 
 def main(argv=None) -> int:

@@ -298,24 +298,86 @@ def test_lane_solver_runs_numpy_from_the_lane_threshold(monkeypatch, count):
     assert calls == ([] if count < analytic._MIN_LANES else [count])
 
 
+def _closed_form_sum_per_term(m, a, z, gamma=upper_incomplete_gamma):
+    # the compensated sum as one scalar Kahan loop, each term calling gamma
+    # itself; where the value escalates, why
+    if z >= analytic._EXP_GUARD:
+        return "z >= 700"
+    half_a = 0.5 * a
+    total = comp = abs_total = 0.0
+    for k in range(m):
+        try:
+            coefficient = math.comb(m - 1, k) * (-half_a) ** k
+        except OverflowError:
+            return "term overflows"
+        try:
+            v = coefficient * gamma(0.5 * (m - k), z)
+        except OverflowError:
+            return "gamma overflows"
+        abs_total += abs(v)
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    if not (total > 0.0 and abs_total / total <= analytic._CANCELLATION_ESCALATE):
+        return "uncertified"
+    log_pref = m * math.log(a) + z - math.log(2.0) - math.lgamma(m)
+    return math.exp(log_pref + math.log(total))
+
+
 def _closed_form_per_call(params, m):
     # the closed form with every term calling upper_incomplete_gamma itself,
     # so that one that overflows raises
     a = params.rho * communication_range(params)
     z = 0.25 * a * a
-    if z >= analytic._EXP_GUARD:
-        return min(1.0, analytic._closed_form_mp(m, a, z))
-    half_a = 0.5 * a
-    try:
-        terms = [math.comb(m - 1, k) * (-half_a) ** k * upper_incomplete_gamma(0.5 * (m - k), z)
-                 for k in range(m)]
-    except OverflowError:
-        return min(1.0, analytic._closed_form_mp(m, a, z))
-    total, abs_total = analytic._kahan_sum(terms)
-    if not (total > 0.0 and abs_total / total <= analytic._CANCELLATION_ESCALATE):
-        return min(1.0, analytic._closed_form_mp(m, a, z))
-    log_pref = m * math.log(a) + z - math.log(2.0) - math.lgamma(m)
-    return min(1.0, math.exp(log_pref + math.log(total)))
+    value = _closed_form_sum_per_term(m, a, z)
+    return min(1.0, analytic._closed_form_mp(m, a, z) if isinstance(value, str) else value)
+
+
+def _assert_sum_lanes_give_the_scalar_sums(a_s, ms):
+    # every (a, m) lane: the same certified value, or escalated where the
+    # scalar loop escalates; returns why each escalated lane escalates
+    z_s = [0.25 * a * a for a in a_s]
+    values, certified = analytic._closed_form_sums(a_s, z_s, ms)
+    assert values.shape == certified.shape == (len(a_s), len(ms))
+    reasons = {}
+    for i, (a, z) in enumerate(zip(a_s, z_s)):
+        gamma = functools.cache(upper_incomplete_gamma)
+        for j, m in enumerate(ms):
+            expected = _closed_form_sum_per_term(m, a, z, gamma)
+            if isinstance(expected, str):
+                assert not certified[i, j], (a, m, expected)
+                reasons.setdefault(expected, []).append((a, m))
+            else:
+                assert certified[i, j] and values[i, j] == expected, (a, m)
+    return reasons
+
+
+def test_sum_lanes_give_the_scalar_sums_on_the_seeded_lanes():
+    a_s = sorted({a for _, a, _ in _seeded_lanes()})
+    reasons = _assert_sum_lanes_give_the_scalar_sums(a_s, range(1, 41))
+    assert set(reasons) == {"uncertified"}
+
+
+def test_sum_lanes_give_the_scalar_sums_on_the_corner_grid(make_params):
+    # the --big-m 400 golden grid: every way a sum escalates
+    points = [make_params(rho=rho, psi_db=psi_db)
+              for rho in (0.0002, 0.002, 0.03, 0.3) for psi_db in (-10.0, 0.0, 20.0)]
+    a_s = [params.rho * communication_range(params) for params in points]
+    reasons = _assert_sum_lanes_give_the_scalar_sums(a_s, range(1, 401))
+    assert min(m for _, m in reasons["term overflows"]) == 234
+    assert min(m for _, m in reasons["gamma overflows"]) == 344
+    assert len(reasons["z >= 700"]) == 1200
+    assert reasons["uncertified"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 40, 234, 344, 400])
+def test_sum_lanes_give_the_scalar_sums_for_one_neighbour(make_params, m):
+    # a span that starts at m, as the scalar function passes it
+    a_s = [params.rho * communication_range(params) for params in (
+        make_params(rho=0.0002, psi_db=-10.0), make_params(rho=0.03, psi_db=0.0),
+        make_params(rho=0.019, psi_db=15.0))]
+    _assert_sum_lanes_give_the_scalar_sums(a_s, range(m, m + 1))
 
 
 @pytest.mark.parametrize("rho, psi_db, neighbours", [

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import hashlib
+import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vanetconn import analytic
-from vanetconn.cli import _parse_value_spec, main
+from vanetconn import analytic, montecarlo
+from vanetconn.cli import (SIMULATE_HEADER, _csv_field, _line, _parse_value_spec,
+                           _write_csv, main)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -352,6 +355,8 @@ def test_analytic_grid_past_one_chunk_gives_the_per_point_bytes(tmp_path, monkey
 
 
 def test_analytic_grid_error_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    full = tmp_path / "full.csv"
+    assert main(["analytic", *_TWO_CHUNK_GRID, "--out", str(full)]) == 0
     # raised while the second chunk is solved, after the first chunk's rows
     solves = []
     products = analytic._backward_products
@@ -363,10 +368,18 @@ def test_analytic_grid_error_exits_1_with_one_line(tmp_path, monkeypatch, capsys
         return products(ms, a2s)
 
     monkeypatch.setattr(analytic, "_backward_products", failing)
-    code, _ = _run(tmp_path, "analytic", *_TWO_CHUNK_GRID)
+    code, out = _run(tmp_path, "analytic", *_TWO_CHUNK_GRID)
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["vanetconn: lane solve failed"]
     assert len(solves) == 2
+    # the rows stream a point at a time: the file holds the header and the
+    # whole first chunk, and nothing of the second
+    header, *lines = full.read_text().splitlines(keepends=True)
+    points = [list(rows) for _, rows in
+              itertools.groupby(lines, key=lambda line: line.split(",")[1:3])]
+    assert len(points) == 300
+    first_chunk = points[:analytic._GRID_CHUNK]
+    assert out.read_text() == header + "".join(itertools.chain.from_iterable(first_chunk))
 
 
 def test_analytic_link_value_does_not_depend_on_the_span(tmp_path):
@@ -395,6 +408,43 @@ def test_failed_cell_is_an_error_row_and_the_grid_continues(tmp_path):
     assert main(["simulate", "--rho", "0.019", *args, "--out", str(alone)]) == 0
     assert rows[1:] == _read(alone)
     assert {r["n_vehicles"] for r in rows[1:]} == {"190"}
+
+
+@pytest.mark.parametrize("message", [
+    "ValueError: a, b", 'RuntimeError: said "no"', "two\nlines", "carriage\rreturn",
+    "crlf\r\nend", "  leading spaces", " ", ",", '"',
+])
+def test_error_field_is_written_as_csv_writer_writes_it(message):
+    # the simulate lines are joined by hand; only the free-text error field is
+    # quoted, by csv itself, so the bytes are csv.writer's on every Python
+    row = ["rayleigh", "0.019", "15", "", "2", "error", "", "", "", "1", "", message]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([SIMULATE_HEADER, row])
+    got = io.StringIO()
+    _write_csv(got, SIMULATE_HEADER, [_line(*row[:-1], _csv_field(message))])
+    assert got.getvalue() == expected.getvalue()
+
+
+def test_simulate_error_row_with_a_comma_reads_back(tmp_path, monkeypatch):
+    run_ensemble = montecarlo.run_ensemble
+
+    def failing(params, model, *args, **kwargs):
+        if model == "rayleigh":
+            raise ValueError("bad cell, with a comma")
+        return run_ensemble(params, model, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", failing)
+    code, out = _run(tmp_path, "simulate", "--rho", "0.019", "--psi-db", "15", "--trials", "2",
+                     "--big-m", "2")
+    assert code == 0
+    text = out.read_bytes().decode()
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert {len(row) for row in rows} == {len(SIMULATE_HEADER)}
+    assert [row[-1] for row in rows if row[5] == "error"] == ["ValueError: bad cell, with a comma"]
+    rewritten = io.StringIO()
+    csv.writer(rewritten, lineterminator="\n").writerows(rows)
+    assert rewritten.getvalue() == text
 
 
 def test_simulate_deterministic_output(tmp_path):

@@ -4,8 +4,9 @@ Neither command loads a scipy module, and nothing at run time needs
 ``mpmath``: the closed forms integrate with numpy alone, importing
 ``numpy.polynomial`` for the Gauss–Legendre nodes on their first quadrature,
 and the ensemble, which never integrates, does not load it.  A serial
-``simulate`` imports no module once its arguments are parsed, so no import
-lands inside the computation.  Only a pool of two or more processes loads
+``simulate`` imports no module once its arguments are parsed, and
+``analytic`` only ``numpy.polynomial``, so no other import lands inside the
+computation.  Only a pool of two or more processes loads
 ``concurrent.futures.process`` and with it ``multiprocessing``.
 """
 
@@ -116,6 +117,19 @@ def test_serial_simulate_imports_nothing_after_parsing(args):
                       "--big-m", "2", "--trials", "2", "--out", os.devnull])
     assert marks["code"] == 0
     assert marks["imported_after_parse"] == []
+
+
+@pytest.mark.parametrize("model, quadrature", [("both", True), ("rayleigh", True),
+                                               ("unit_disc", False)])
+def test_analytic_imports_only_numpy_polynomial_after_parsing(model, quadrature):
+    # the Gauss–Legendre nodes of the first quadrature are the only import
+    # timed as computation; the closed forms and the row writer add none
+    marks = _run_cli(["analytic", "--rho", "0.006,0.019", "--psi-db", "0,15", "--model", model,
+                      "--out", os.devnull])
+    assert marks["code"] == 0
+    imported = marks["imported_after_parse"]
+    assert ("numpy.polynomial" in imported) == quadrature
+    assert [m for m in imported if m.split(".")[:2] != ["numpy", "polynomial"]] == []
 
 
 @pytest.mark.parametrize("args", [
