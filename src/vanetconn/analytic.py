@@ -45,8 +45,8 @@ _FORWARD_BELOW = 0.5
 # the rounding of z = a*a/4 is a first-order effect while its square, the
 # second-order term, stays below double precision (a up to about 2e4)
 _FIRST_ORDER_DELTA = 2.0**-26
-# from this many backward recurrences a batch runs them as one numpy
-# recurrence; one lane in numpy costs about 100 times the scalar loop
+# from this many active lanes a step of the backward recurrence runs in
+# numpy; one lane in numpy costs about 100 times a Python float step
 _MIN_LANES = 64
 # points whose closed forms grid_rows computes, and escalates, together; it
 # holds a few arrays of big_m floats per point while the chunk's rows stream
@@ -125,21 +125,6 @@ def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _half_integer_gammas(z: float, count: int) -> list[float]:
-    """Gamma(j/2, z) for j = 1..count; NaN where it overflows.
-
-    A NaN term makes the closed form's sum NaN, which sends it to the
-    recurrence, as the overflow itself would.
-    """
-    gammas = []
-    for j in range(1, count + 1):
-        try:
-            gammas.append(upper_incomplete_gamma(0.5 * j, z))
-        except OverflowError:
-            gammas.append(math.nan)
-    return gammas
-
-
 def _or_inf(f, args: Iterable) -> list[float]:
     """f(x) for each x in ``args``, inf where it overflows.
 
@@ -156,44 +141,51 @@ def _or_inf(f, args: Iterable) -> list[float]:
 
 
 def _closed_form_mp(m: int, a: float, z: float) -> float:
-    """P(m) by the recurrence P(k+1) = (P(k-1) - P(k)) a^2 / (2k), cancellation-free.
+    """The recurrence's P(m) at one (a, z), as a batch of one lane.
 
-    P(0) = 1 and P(1) = (a sqrt(pi) / 2) e^(a^2/4) erfc(a/2) (DLMF 12-13).
-    For small a each P(k) is about a times the one before, so the recurrence
-    runs forward without loss.  Otherwise the ratios r(k) = P(k)/P(k-1) =
-    1 / (1 + (2k/a^2) r(k+1)) run backward from r = 0 deep enough that the
-    start no longer shows, and P(m) is their product.
+    It has the bits the lane gets in any batch of :func:`_closed_forms_mp`.
+    The benchmark's tracer wraps it by name and counts its calls as the
+    closed form's escalations; the grid path solves batches instead.
+    """
+    return _closed_forms_mp([(m, a, z)])[0]
+
+
+def _closed_forms_mp(lanes: list[tuple[int, float, float]]) -> list[float]:
+    """P(m) of every lane (m, a, z) by the recurrence P(k+1) = (P(k-1) - P(k)) a^2 / (2k).
+
+    P(0) = 1 and P(1) = (a sqrt(pi) / 2) e^(a^2/4) erfc(a/2) (DLMF 12-13);
+    the recurrence has no alternating terms.  For small a each P(k) is about
+    a times the one before, so the recurrence runs forward without loss, a
+    lane at a time.  Otherwise the ratios r(k) = P(k)/P(k-1) run backward,
+    every such lane in one :func:`_backward_products` call, and P(m) is
+    their product.  An infinite a or z gives 1.
 
     The double-precision sum evaluates the closed form at the double z, not
     at a^2/4; adding the first-order term in z - a^2/4 gives the value at
     that same z, so both routes compute one function.  With z exact, the
     extra part of dP/dz is (1 - a/(2 sqrt(z)))^(m-1): 0 for m >= 2 and 1 for
-    m = 1.  This is the single-value reference: the scalar functions and
-    batches of fewer than ``_MIN_LANES`` backward recurrences call it, and
-    the benchmark's tracer counts those calls as the closed form's
-    escalations.  Larger batches solve their backward recurrences together
-    in :func:`_backward_products`, to the same bits, and are not counted.
+    m = 1.  A lane's bits do not depend on the other lanes of its batch.
     """
-    if math.isinf(a) or math.isinf(z):
-        return 1.0
-    if a < _FORWARD_BELOW:
-        prev = 1.0
-        value = 0.5 * a * math.sqrt(math.pi) * math.exp(0.25 * a * a) * math.erfc(0.5 * a)
-        for k in range(1, m):
-            prev, value = value, (prev - value) * a * a / (2 * k)
-    else:
-        a2 = a * a
-        # 2k/a^2 for k from far above m down to 1, each rounded as 2.0 * k / a2;
-        # the steps above m only settle the ratio
-        coefficients = (2.0 * np.arange(_backward_depth(m, a2), 0, -1) / a2).tolist()
-        ratio = 0.0
-        for c in coefficients[:-m]:
-            ratio = 1.0 / (1.0 + c * ratio)
-        value = 1.0
-        for c in coefficients[-m:]:
-            ratio = 1.0 / (1.0 + c * ratio)
-            value *= ratio
-    return _at_z(value, m, _z_offset(a, z))
+    values = [1.0] * len(lanes)
+    finite = [i for i, (_, a, z) in enumerate(lanes) if not (math.isinf(a) or math.isinf(z))]
+    deep = [lanes[i] for i in finite if lanes[i][1] >= _FORWARD_BELOW]
+    products = iter(_backward_products([m for m, _, _ in deep], [a * a for _, a, _ in deep]))
+    # one offset per point: its lanes share a and z
+    offsets = {az: _z_offset(*az) for az in {lanes[i][1:] for i in finite}}
+    for i in finite:
+        m, a, z = lanes[i]
+        if a < _FORWARD_BELOW:
+            prev = 1.0
+            value = 0.5 * a * math.sqrt(math.pi) * math.exp(0.25 * a * a) * math.erfc(0.5 * a)
+            for k in range(1, m):
+                prev, value = value, (prev - value) * a * a / (2 * k)
+        else:
+            value = next(products)
+        delta = offsets[a, z]
+        if abs(delta) < _FIRST_ORDER_DELTA:
+            value += delta * (value - (m == 1))
+        values[i] = value
+    return values
 
 
 def _backward_depth(m: int, a2: float) -> int:
@@ -208,45 +200,22 @@ def _z_offset(a: float, z: float) -> float:
     return (4 * zn * ad * ad - an * an * zd) / (4 * zd * ad * ad)
 
 
-def _at_z(value: float, m: int, delta: float) -> float:
-    """The recurrence's P(m) at a^2/4 moved to z = a^2/4 + delta by its first-order term."""
-    if abs(delta) < _FIRST_ORDER_DELTA:
-        value += delta * (value - (m == 1))
-    return value
-
-
-def _closed_forms_mp(lanes: list[tuple[int, float, float]]) -> list[float]:
-    """``_closed_form_mp(m, a, z)`` of every lane (m, a, z), to the same bits.
-
-    With at least ``_MIN_LANES`` backward recurrences (finite a >= 0.5) in
-    the batch, those run together in :func:`_backward_products`; the other
-    lanes, and every lane of a smaller batch, call ``_closed_form_mp``.
-    """
-    backward = [not (math.isinf(a) or math.isinf(z) or a < _FORWARD_BELOW) for _, a, z in lanes]
-    if sum(backward) < _MIN_LANES:
-        return [_closed_form_mp(*lane) for lane in lanes]
-    deep = [lane for lane, b in zip(lanes, backward) if b]
-    products = iter(_backward_products([m for m, _, _ in deep], [a * a for _, a, _ in deep]))
-    # one offset per point: its lanes share a and z
-    offsets = {az: _z_offset(*az) for az in {(a, z) for _, a, z in deep}}
-    return [_at_z(next(products), m, offsets[a, z]) if b else _closed_form_mp(m, a, z)
-            for (m, a, z), b in zip(lanes, backward)]
-
-
 def _backward_products(ms: list[int], a2s: list[float]) -> list[float]:
-    """prod_{k<=m} r(k) of every lane (m, a^2), as ``_closed_form_mp`` forms it.
+    """prod_{k<=m} r(k) of every lane (m, a^2), any number of lanes.
 
     Each lane runs r(k) = 1 / (1 + (2k/a^2) r(k+1)) from r = 0 at its own
-    depth down to k = 1, with the same operations as the scalar loop, so
-    every lane gets its bits.  Sorted deepest first, the lanes active at
-    step k are a prefix, and each step is a few numpy operations on it.  The
-    steps above the ``_MIN_LANES``-th deepest start, where fewer lanes are
-    active, run as Python floats; a batch has at least ``_MIN_LANES`` lanes.
+    depth down to k = 1, and multiplies the r(k) with k <= m into its
+    product; the same operations run on every lane, so each gets the bits
+    of a scalar loop.  Sorted deepest first, the lanes active at step k are
+    a prefix.  While fewer than ``_MIN_LANES`` lanes are active, the steps
+    run as Python floats, a lane at a time; from the ``_MIN_LANES``-th
+    deepest start on, each step is a few numpy operations on the prefix.  A
+    batch of fewer lanes runs every step as Python floats.
     """
     depths = np.array([_backward_depth(m, a2) for m, a2 in zip(ms, a2s)])
     order = np.argsort(-depths, kind="stable")
     m, a2, depth = np.array(ms)[order], np.array(a2s)[order], depths[order]
-    start = int(depth[_MIN_LANES - 1])
+    start = int(depth[_MIN_LANES - 1]) if len(ms) >= _MIN_LANES else 0
     ratio = np.zeros(len(ms))
     value = np.ones(len(ms))
     top = slice(_MIN_LANES - 1)
@@ -260,7 +229,7 @@ def _backward_products(ms: list[int], a2s: list[float]) -> list[float]:
         ratio[i], value[i] = r, v
     # active[k]: how many lanes start at step k or above
     active = np.searchsorted(-depth, -np.arange(start + 1), side="right").tolist()
-    top_m = max(ms)
+    top_m = max(ms, default=0)
     coefficient = np.empty(len(ms))
     for k in range(start, 0, -1):
         n = active[k]
@@ -323,16 +292,17 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
     binomial, converted to a float as Python converts the int, times the
     power from Python's ``**``, times the gamma, so every lane gets the
     scalar bits.  Rows run from the largest m down, so the lanes still
-    summing at step k are a prefix.  An overflowing power or binomial is
-    inf and a gamma that overflows, or every gamma at z >= ``_EXP_GUARD``,
-    is NaN, so their sums fail the same test as a cancellation too deep for
-    double precision, and are not certified.  The prefactor's log, lgamma
+    summing at step k are a prefix.  A power, binomial or gamma that
+    overflows is inf, as is every gamma at z >= ``_EXP_GUARD``, so their
+    sums fail the same test as a cancellation too deep for double
+    precision, and are not certified.  The prefactor's log, lgamma
     and exp are scalar ``math`` calls.  Both arrays are shaped (len(a_s),
     len(ms)).
     """
     top = ms[-1]
     # row j-1 holds Gamma(j/2, z), row k (-a/2)^k, one column a point
-    gammas = np.array([_half_integer_gammas(z, top) if z < _EXP_GUARD else [math.nan] * top
+    gammas = np.array([_or_inf(lambda j, z=z: upper_incomplete_gamma(0.5 * j, z),
+                               range(1, top + 1)) if z < _EXP_GUARD else [math.inf] * top
                        for z in z_s]).reshape(len(z_s), top).T
     powers = np.array([_or_inf((-0.5 * a).__pow__, range(top))
                        for a in a_s]).reshape(len(a_s), top).T
@@ -363,6 +333,19 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
     return values[::-1].T, certified[::-1].T
 
 
+def _finite_mean(params: ScenarioParams, m: int) -> bool:
+    """Whether the average SNR at the m-th neighbour is finite: m > alpha."""
+    return m > params.ple
+
+
+def _require_finite_mean(params: ScenarioParams, m: int) -> int:
+    """m as a neighbour index; raises ``DivergentMeanError`` where its average SNR is infinite."""
+    m = _require_neighbor_index(m)
+    if not _finite_mean(params, m):
+        raise DivergentMeanError(f"average SNR is infinite for m <= {params.ple} (got m={m})")
+    return m
+
+
 def avg_snr_rayleigh(params: ScenarioParams, m: int) -> float:
     """Average received SNR at the m-th neighbour under fading.
 
@@ -370,12 +353,8 @@ def avg_snr_rayleigh(params: ScenarioParams, m: int) -> float:
     beta*P_T*rho^alpha / P_noise * prod_{j=1..alpha} 1/(m-j); closer
     neighbours sit too often near zero distance and the mean diverges.
     """
-    m = _require_neighbor_index(m)
+    m = _require_finite_mean(params, m)
     alpha = params.ple
-    if m <= alpha:
-        raise DivergentMeanError(
-            f"average SNR is infinite for m <= {alpha} (got m={m})"
-        )
     value = params.budget.snr_scale * params.rho**alpha
     for j in range(1, alpha + 1):
         value /= m - j
@@ -390,12 +369,8 @@ def avg_snr_ud(params: ScenarioParams, m: int) -> float:
     average, here computed through the gamma-function moment for an
     arithmetically independent route.
     """
-    m = _require_neighbor_index(m)
+    m = _require_finite_mean(params, m)
     alpha = params.ple
-    if m <= alpha:
-        raise DivergentMeanError(
-            f"average SNR is infinite for m <= {alpha} (got m={m})"
-        )
     log_moment = alpha * math.log(params.rho) + math.lgamma(m - alpha) - math.lgamma(m)
     return params.budget.snr_scale * math.exp(log_moment)
 
@@ -410,14 +385,20 @@ def avg_node_degree(params: ScenarioParams) -> float:
     return 2.0 * params.rho * math.gamma(1.0 + 1.0 / params.ple) * communication_range(params)
 
 
-def _one_side_disconnect(params: ScenarioParams, big_m: int) -> float:
+def _vehicle_connectivity(links: list[float]) -> tuple[float, float]:
+    """One-side and two-side vehicle connectivity from the independent links of m = 1..big_m.
+
+    A side is isolated when none of its links is present, the product taken
+    in m order; the two sides are independent, so two-side isolation is
+    its square.
+    """
+    isolated = math.prod(1.0 - p for p in links)
+    return 1.0 - isolated, 1.0 - isolated**2
+
+
+def _side_links(params: ScenarioParams, big_m: int) -> list[float]:
     big_m = _require_neighbor_index(big_m)
-    return _isolation(_link_probabilities(params, range(1, big_m + 1)).tolist())
-
-
-def _isolation(links: list[float]) -> float:
-    """Probability that none of the independent links is present, multiplied in m order."""
-    return math.prod(1.0 - p for p in links)
+    return _link_probabilities(params, range(1, big_m + 1)).tolist()
 
 
 def p_vehicle_one_side_rayleigh(params: ScenarioParams, big_m: int = 10) -> float:
@@ -426,7 +407,7 @@ def p_vehicle_one_side_rayleigh(params: ScenarioParams, big_m: int = 10) -> floa
     Treats the links to different neighbours as independent, which makes this
     an approximation (the gaps are nested, hence positively dependent).
     """
-    return 1.0 - _one_side_disconnect(params, big_m)
+    return _vehicle_connectivity(_side_links(params, big_m))[0]
 
 
 def p_vehicle_rayleigh(params: ScenarioParams, big_m: int = 10) -> float:
@@ -436,14 +417,7 @@ def p_vehicle_rayleigh(params: ScenarioParams, big_m: int = 10) -> float:
     per-side independence approximation makes this an upper bound on the
     simulated vehicle connectivity.
     """
-    return 1.0 - _one_side_disconnect(params, big_m) ** 2
-
-
-def _snr_value(fn, params: ScenarioParams, m: int) -> float | str:
-    try:
-        return fn(params, m)
-    except DivergentMeanError:
-        return "diverges"
+    return _vehicle_connectivity(_side_links(params, big_m))[1]
 
 
 def point_rows(params: ScenarioParams, big_m: int,
@@ -490,7 +464,8 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
         links = list(itertools.islice(scenario._erlang_cdfs(params.rho * lam), big_m))
         rows.append(("unit_disc", None, "unit_disc_range_m", lam))
         rows += [("unit_disc", m, "p_single_link", p) for m, p in zip(ms, links)]
-        rows += [("unit_disc", m, "avg_snr", _snr_value(avg_snr_ud, params, m)) for m in ms]
+        rows += [("unit_disc", m, "avg_snr",
+                  avg_snr_ud(params, m) if _finite_mean(params, m) else "diverges") for m in ms]
         rows += [("unit_disc", None, "p_network", p_network_ud(params)),
                  ("unit_disc", None, "p_vehicle_one_side", links[0]),
                  ("unit_disc", None, "avg_node_degree", 2.0 * params.rho * lam)]
@@ -499,9 +474,11 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
         rows += [("rayleigh", m, "p_single_link", p) for m, p in zip(ms, links)]
         if closed is not None:
             rows += [("rayleigh", m, "p_single_link_closed", p) for m, p in zip(ms, closed)]
-        rows += [("rayleigh", m, "avg_snr", _snr_value(avg_snr_rayleigh, params, m)) for m in ms]
-        isolated = _isolation(links)
+        rows += [("rayleigh", m, "avg_snr",
+                  avg_snr_rayleigh(params, m) if _finite_mean(params, m) else "diverges")
+                 for m in ms]
+        one_side, two_side = _vehicle_connectivity(links)
         rows += [("rayleigh", None, "avg_node_degree", avg_node_degree(params)),
-                 ("rayleigh", big_m, "p_vehicle_one_side", 1.0 - isolated),
-                 ("rayleigh", big_m, "p_vehicle_two_side", 1.0 - isolated**2)]
+                 ("rayleigh", big_m, "p_vehicle_one_side", one_side),
+                 ("rayleigh", big_m, "p_vehicle_two_side", two_side)]
     return rows

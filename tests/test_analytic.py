@@ -239,7 +239,7 @@ def _assert_lanes_give_the_scalar_bits(lanes):
     got = analytic._closed_forms_mp(lanes)
     assert len(got) == len(lanes)
     for lane, value in zip(lanes, got):
-        assert value == analytic._closed_form_mp(*lane), lane
+        assert value == _closed_form_mp_per_step(*lane), lane
 
 
 def _backward(lanes):
@@ -283,19 +283,15 @@ def test_lane_solver_gives_the_scalar_bits_for_deep_lanes():
     _assert_lanes_give_the_scalar_bits([*shallow[:50], deep[0], *shallow[50:], deep[1]])
 
 
-@pytest.mark.parametrize("count", [63, 64, 65])
-def test_lane_solver_runs_numpy_from_the_lane_threshold(monkeypatch, count):
-    lanes = [(1 + k % 40, 0.5 + 0.37 * k, 0.25 * (0.5 + 0.37 * k) ** 2) for k in range(count)]
-    calls = []
-    products = analytic._backward_products
-
-    def counting(ms, a2s):
-        calls.append(len(ms))
-        return products(ms, a2s)
-
-    monkeypatch.setattr(analytic, "_backward_products", counting)
-    _assert_lanes_give_the_scalar_bits(lanes)
-    assert calls == ([] if count < analytic._MIN_LANES else [count])
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 700])
+def test_lane_solver_gives_the_per_step_bits_whatever_the_batch_size(size):
+    # below _MIN_LANES lanes a batch steps in Python floats only, from it on
+    # in numpy too: the seeded lanes in batches of each size, 700 being one
+    lanes = _seeded_lanes()
+    assert len(lanes) == 700
+    got = [value for i in range(0, len(lanes), size)
+           for value in analytic._closed_forms_mp(lanes[i:i + size])]
+    assert got == [_closed_form_mp_per_step(*lane) for lane in lanes]
 
 
 def _closed_form_sum_per_term(m, a, z, gamma=upper_incomplete_gamma):

@@ -275,10 +275,13 @@ GOLDEN_ANALYTIC = {
     # form computed its own incomplete gammas
     "--rho 0.0002,0.002,0.03,0.3 --psi-db=-10,0,20 --big-m 400":
         "93e90999db338a1fd74108f3e890d61119766941e35826b739e649ace40fb212",
+    # the default grid, no grid flags: its 11 escalations form a batch of
+    # fewer than 64 backward recurrences, which steps in Python floats only
+    "": "e79da54adc4dcef650f073ced1392ef05ff77d38d5b3e55728e58e7203b16c9c",
 }
 
 
-@pytest.mark.parametrize("grid", sorted(GOLDEN_ANALYTIC))
+@pytest.mark.parametrize("grid", sorted(GOLDEN_ANALYTIC), ids=lambda grid: grid or "default")
 def test_analytic_matches_golden_digest(tmp_path, grid):
     code, out = _run(tmp_path, "analytic", *grid.split())
     assert code == 0
@@ -334,23 +337,24 @@ _TWO_CHUNK_GRID = ["--rho", "0.01:0.3:0.01", "--psi-db", "0:18:2", "--big-m", "1
 
 def test_analytic_grid_past_one_chunk_gives_the_per_point_bytes(tmp_path, monkeypatch):
     solves = []
-    products = analytic._backward_products
+    solve = analytic._closed_forms_mp
 
-    def counting(ms, a2s):
-        solves.append(len(ms))
-        return products(ms, a2s)
+    def counting(lanes):
+        solves.append(len(lanes))
+        return solve(lanes)
 
-    monkeypatch.setattr(analytic, "_backward_products", counting)
+    monkeypatch.setattr(analytic, "_closed_forms_mp", counting)
     code, out = _run(tmp_path, "analytic", *_TWO_CHUNK_GRID)
     assert code == 0
     assert len(solves) == 2
     grid = out.read_bytes()
-    # one point a chunk: each point's rows are its point_rows, every
-    # escalation its own _closed_form_mp call
+    # one point a chunk: each point's rows are its point_rows, its
+    # escalations a batch of their own
     monkeypatch.setattr(analytic, "_GRID_CHUNK", 1)
+    solves.clear()
     code, out = _run(tmp_path, "analytic", *_TWO_CHUNK_GRID)
     assert code == 0
-    assert len(solves) == 2
+    assert len(solves) == 300
     assert out.read_bytes() == grid
 
 
