@@ -15,7 +15,7 @@ from collections.abc import Collection, Iterable, Iterator
 import numpy as np
 
 from . import channel, scenario
-from .numerics import integrate_semi_infinite, upper_incomplete_gamma
+from .numerics import _or_inf, _upper_incomplete_gammas, integrate_semi_infinite
 from .scenario import ScenarioParams, _require_neighbor_index
 
 __all__ = [
@@ -123,21 +123,6 @@ def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
 
     values, _ = integrate_semi_infinite(integrand, upper)
     return np.clip(values, 0.0, 1.0)
-
-
-def _or_inf(f, args: Iterable) -> list[float]:
-    """f(x) for each x in ``args``, inf where it overflows.
-
-    An inf term makes the closed form's sum inf or NaN, which sends it to
-    the recurrence, as the ``OverflowError`` itself would.
-    """
-    values = []
-    for x in args:
-        try:
-            values.append(f(x))
-        except OverflowError:
-            values.append(math.inf)
-    return values
 
 
 def _closed_form_mp(m: int, a: float, z: float) -> float:
@@ -300,10 +285,14 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
     len(ms)).
     """
     top = ms[-1]
-    # row j-1 holds Gamma(j/2, z), row k (-a/2)^k, one column a point
-    gammas = np.array([_or_inf(lambda j, z=z: upper_incomplete_gamma(0.5 * j, z),
-                               range(1, top + 1)) if z < _EXP_GUARD else [math.inf] * top
-                       for z in z_s]).reshape(len(z_s), top).T
+    # row j-1 holds Gamma(j/2, z), row k (-a/2)^k, one column a point; the
+    # gammas of every point with z < _EXP_GUARD come from one lane call
+    z = np.array(z_s, dtype=float)
+    near = z < _EXP_GUARD
+    gammas = np.full((top, len(z_s)), math.inf)
+    gammas[:, near] = _upper_incomplete_gammas(
+        np.repeat(0.5 * np.arange(1, top + 1), near.sum()), np.tile(z[near], top),
+    ).reshape(top, -1)
     powers = np.array([_or_inf((-0.5 * a).__pow__, range(top))
                        for a in a_s]).reshape(len(a_s), top).T
     m_rows = np.arange(top, ms.start - 1, -1)
@@ -458,14 +447,21 @@ def grid_rows(points: Iterable[ScenarioParams], big_m: int,
 def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
                 closed: list[float] | None) -> list[tuple[str, int | None, str, float | str]]:
     big_m = len(ms)
+    alpha = params.ple
     lam = communication_range(params)
+    scale = params.budget.snr_scale
+    # the m with a finite average SNR
+    finite = [m for m in ms if _finite_mean(params, m)]
     rows = []
     if "unit_disc" in models:
         links = list(itertools.islice(scenario._erlang_cdfs(params.rho * lam), big_m))
+        # avg_snr_ud's operations, in its order
+        log_power = alpha * math.log(params.rho)
+        snr = {m: scale * math.exp(log_power + math.lgamma(m - alpha) - math.lgamma(m))
+               for m in finite}
         rows.append(("unit_disc", None, "unit_disc_range_m", lam))
         rows += [("unit_disc", m, "p_single_link", p) for m, p in zip(ms, links)]
-        rows += [("unit_disc", m, "avg_snr",
-                  avg_snr_ud(params, m) if _finite_mean(params, m) else "diverges") for m in ms]
+        rows += [("unit_disc", m, "avg_snr", snr.get(m, "diverges")) for m in ms]
         rows += [("unit_disc", None, "p_network", p_network_ud(params)),
                  ("unit_disc", None, "p_vehicle_one_side", links[0]),
                  ("unit_disc", None, "avg_node_degree", 2.0 * params.rho * lam)]
@@ -474,9 +470,17 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
         rows += [("rayleigh", m, "p_single_link", p) for m, p in zip(ms, links)]
         if closed is not None:
             rows += [("rayleigh", m, "p_single_link_closed", p) for m, p in zip(ms, closed)]
-        rows += [("rayleigh", m, "avg_snr",
-                  avg_snr_rayleigh(params, m) if _finite_mean(params, m) else "diverges")
-                 for m in ms]
+        # avg_snr_rayleigh's divisions, in its order; rho^alpha, which
+        # overflows for a huge rho, only where some average is finite
+        snr = {}
+        if finite:
+            base = scale * params.rho**alpha
+            for m in finite:
+                value = base
+                for j in range(1, alpha + 1):
+                    value /= m - j
+                snr[m] = value
+        rows += [("rayleigh", m, "avg_snr", snr.get(m, "diverges")) for m in ms]
         one_side, two_side = _vehicle_connectivity(links)
         rows += [("rayleigh", None, "avg_node_degree", avg_node_degree(params)),
                  ("rayleigh", big_m, "p_vehicle_one_side", one_side),

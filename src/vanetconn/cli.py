@@ -187,13 +187,25 @@ def _make_params(args, rho: float, psi_db: float) -> ScenarioParams:
 
 
 def _analytic_rows(args, points):
-    """One text block a point, its lines in ANALYTIC_HEADER order."""
+    """One text block a point, its lines in ANALYTIC_HEADER order.
+
+    Every point of a grid shares the path-loss exponent, the models and
+    big_m, so it has the rows of the first point, with the same labels and
+    "diverges" where they have it.  Their lines make one ``%`` template,
+    which each point fills with its rho and psi and its values: ``'%.12g' % v``
+    is the string ``format(v, '.12g')``.
+    """
     rows = analytic.grid_rows([params for _, _, params in points], args.big_m, _models(args))
+    template = None
     for (rho, psi_db, _), point in zip(points, rows, strict=True):
-        where = f"{rho:.12g},{psi_db:.12g}"
-        yield "".join([f"{model},{where},{'' if m is None else m},{metric},"
-                       f"{value if isinstance(value, str) else format(value, '.12g')}\n"
-                       for model, m, metric, value in point])
+        if template is None:
+            template = "".join([f"{model},%s,{'' if m is None else m},{metric},"
+                                f"{'%s' if isinstance(value, str) else '%.12g'}\n"
+                                for model, m, metric, value in point])
+        # (where, value) for each line
+        fields = [f"{rho:.12g},{psi_db:.12g}"] * (2 * len(point))
+        fields[1::2] = [value for *_, value in point]
+        yield template % tuple(fields)
 
 
 def _simulate_rows(args, points):

@@ -1,15 +1,18 @@
 """Quadrature and special functions backing the closed-form metrics.
 
 ``integrate_semi_infinite`` integrates a batch of decaying integrands with one
-composite Gauss–Legendre rule in numpy; ``upper_incomplete_gamma`` serves the
-path-loss-exponent-2 closed form.
+composite Gauss–Legendre rule in numpy, its nodes and weights tabulated here,
+so no run imports ``numpy.polynomial`` or solves for them.
+``upper_incomplete_gamma`` serves the path-loss-exponent-2 closed form, and
+``_upper_incomplete_gammas`` gives its bits for a whole batch of arguments at
+once, which the closed forms of a grid chunk solve in one call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -18,12 +21,11 @@ _MAX_CF_ITER = 500
 _EPS = 1e-15
 _TINY = 1e-300
 # the rule of integrate_semi_infinite: equal panels on [0, upper] of the first
-# try (each rerun doubles them), Gauss–Legendre nodes per panel, the coarser
-# rule whose difference estimates the error, the relative tolerance that
+# try (each rerun doubles them), Gauss–Legendre nodes per panel (the 20-node
+# rule on the same panels estimates the error), the relative tolerance that
 # estimate must meet and the most panels per integral
 _QUAD_PANELS = 16
 _QUAD_NODES = 40
-_QUAD_CHECK_NODES = 20
 _QUAD_REL_TOL = 1e-10
 _QUAD_MAX_PANELS = 256
 # below the smallest normal double a relative error bound is not representable
@@ -34,18 +36,45 @@ class QuadratureError(RuntimeError):
     """Quadrature did not converge to the requested tolerance."""
 
 
-@functools.cache
-def _gauss_legendre():
-    """Nodes of both rules on [-1, 1], fine then check, and the weights of each.
+# the 40- and 20-node Gauss–Legendre rules on [-1, 1], as the bits
+# numpy.polynomial.legendre.leggauss gives; it makes each rule exactly
+# symmetric, so only the nodes in (0, 1), ascending, and their weights are listed
+_HALF_NODES_40 = (
+    0.038772417506050816, 0.11608407067525521, 0.1926975807013711, 0.2681521850072537,
+    0.3419940908257585, 0.413779204371605, 0.4830758016861787, 0.5494671250951282,
+    0.6125538896679802, 0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+    0.8246122308333117, 0.8659595032122595, 0.9020988069688742, 0.9328128082786765,
+    0.9579168192137917, 0.9772599499837743, 0.990726238699457, 0.9982377097105591,
+)
+_HALF_WEIGHTS_40 = (
+    0.07750594797842451, 0.07703981816424763, 0.07611036190062598, 0.07472316905796794,
+    0.07288658239580377, 0.07061164739128656, 0.06791204581523368, 0.06480401345660076,
+    0.061306242492928834, 0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+    0.04387090818567321, 0.03878216797447219, 0.03346019528254789, 0.027937006980023434,
+    0.022245849194166653, 0.016421058381906828, 0.010498284531153814, 0.004521277098536349,
+)
+_HALF_NODES_20 = (
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+    0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095,
+)
+_HALF_WEIGHTS_20 = (
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+    0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893,
+)
 
-    Built on the first quadrature: ``numpy.polynomial`` is not imported by
-    anything else, and the ensemble never integrates.
-    """
-    from numpy.polynomial.legendre import leggauss
 
-    fine_t, fine_w = leggauss(_QUAD_NODES)
-    check_t, check_w = leggauss(_QUAD_CHECK_NODES)
-    return np.concatenate([fine_t, check_t]), fine_w, check_w
+def _whole_rule(half_nodes, half_weights) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ascending over [-1, 1] and their weights, mirrored from the listed half."""
+    nodes, weights = np.array(half_nodes), np.array(half_weights)
+    return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
+
+
+_FINE_NODES, _FINE_WEIGHTS = _whole_rule(_HALF_NODES_40, _HALF_WEIGHTS_40)
+_CHECK_NODES, _CHECK_WEIGHTS = _whole_rule(_HALF_NODES_20, _HALF_WEIGHTS_20)
+# the nodes of both rules, fine then check, as _panel_rule evaluates them
+_RULE_NODES = np.concatenate([_FINE_NODES, _CHECK_NODES])
 
 
 @functools.cache
@@ -61,11 +90,10 @@ def _panel_edges(panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_rule(f, lo, hi):
     """Fine-rule value and |fine - check| of every panel [lo, hi], shaped (M, K)."""
-    nodes, fine_w, check_w = _gauss_legendre()
     half = 0.5 * (hi - lo)
-    y = f((0.5 * (hi + lo))[..., None] + half[..., None] * nodes)
-    fine = half * (y[..., :_QUAD_NODES] * fine_w).sum(axis=-1)
-    check = half * (y[..., _QUAD_NODES:] * check_w).sum(axis=-1)
+    y = f((0.5 * (hi + lo))[..., None] + half[..., None] * _RULE_NODES)
+    fine = half * (y[..., :_QUAD_NODES] * _FINE_WEIGHTS).sum(axis=-1)
+    check = half * (y[..., _QUAD_NODES:] * _CHECK_WEIGHTS).sum(axis=-1)
     return fine, np.abs(fine - check)
 
 
@@ -173,3 +201,102 @@ def _upper_gamma_contfrac(s: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             return math.exp(-x + s * math.log(x)) * h
     raise QuadratureError(f"incomplete gamma continued fraction stalled at s={s}, x={x}")
+
+
+def _upper_incomplete_gammas(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``upper_incomplete_gamma(s[i], x[i])`` of every lane i, inf where it overflows.
+
+    The lanes of each branch run their loop together in numpy, each with the
+    operations of the scalar loop in the same order, and leave it at the step
+    where the scalar loop would return, so every lane gets the scalar bits
+    whatever the batch.  The closing ``exp``, ``log`` and ``gamma`` are
+    ``math`` calls per lane; where one raises ``OverflowError`` the lane is
+    inf.  A loop that reaches its step limit raises ``QuadratureError`` as
+    the scalar one does.  The arguments are 1-D arrays of equal length with
+    s > 0 and x >= 0, which the caller guarantees.
+    """
+    values = np.empty(len(s))
+    zero = x == 0.0
+    series = ~zero & (x < s + 1.0)
+    contfrac = ~(zero | series)
+    values[zero] = _or_inf(math.gamma, s[zero].tolist())
+    values[series] = _series_lanes(s[series], x[series])
+    values[contfrac] = _contfrac_lanes(s[contfrac], x[contfrac])
+    return values
+
+
+def _or_inf(f, *columns: Iterable) -> list[float]:
+    """f of the i-th item of every column, for each i; inf where f overflows.
+
+    An inf term makes the closed form's sum inf or NaN, which sends it to
+    the recurrence, as the ``OverflowError`` itself would.
+    """
+    values = []
+    for args in zip(*columns):
+        try:
+            values.append(f(*args))
+        except OverflowError:
+            values.append(math.inf)
+    return values
+
+
+def _series_lanes(s: np.ndarray, x: np.ndarray) -> list[float]:
+    """The lanes of ``_upper_gamma_series``: Gamma(s) less the lower gamma's series."""
+    totals = np.empty(len(s))
+    lanes = np.arange(len(s))
+    ap = s.copy()
+    term = 1.0 / s
+    total = term.copy()
+    x_left = x
+    for _ in range(_MAX_SERIES_ITER):
+        if not len(lanes):
+            break
+        ap += 1.0
+        term *= x_left / ap
+        total += term
+        done = np.abs(term) < np.abs(total) * _EPS
+        if done.any():
+            totals[lanes[done]] = total[done]
+            going = ~done
+            lanes, x_left = lanes[going], x_left[going]
+            ap, term, total = ap[going], term[going], total[going]
+    if len(lanes):
+        i = lanes[0]
+        raise QuadratureError(f"incomplete gamma series stalled at s={s[i]}, x={x[i]}")
+    return _or_inf(lambda s, x, total: math.gamma(s) - total * math.exp(-x + s * math.log(x)),
+                   s.tolist(), x.tolist(), totals.tolist())
+
+
+def _contfrac_lanes(s: np.ndarray, x: np.ndarray) -> list[float]:
+    """The lanes of ``_upper_gamma_contfrac``: its modified-Lentz continued fraction."""
+    products = np.empty(len(s))
+    lanes = np.arange(len(s))
+    s_left = s
+    b = x + 1.0 - s
+    c = np.full(len(s), 1.0 / _TINY)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, _MAX_CF_ITER):
+        if not len(lanes):
+            break
+        an = -i * (i - s_left)
+        b += 2.0
+        d *= an
+        d += b
+        d[np.abs(d) < _TINY] = _TINY
+        c = b + an / c
+        c[np.abs(c) < _TINY] = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            products[lanes[done]] = h[done]
+            going = ~done
+            lanes, s_left = lanes[going], s_left[going]
+            b, c, d, h = b[going], c[going], d[going], h[going]
+    if len(lanes):
+        i = lanes[0]
+        raise QuadratureError(f"incomplete gamma continued fraction stalled at s={s[i]}, x={x[i]}")
+    return _or_inf(lambda s, x, h: math.exp(-x + s * math.log(x)) * h,
+                   s.tolist(), x.tolist(), products.tolist())

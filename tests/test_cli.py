@@ -288,6 +288,34 @@ def test_analytic_matches_golden_digest(tmp_path, grid):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ANALYTIC[grid]
 
 
+@pytest.mark.parametrize("grid", [
+    ["--alpha", "3", "--big-m", "12"],
+    ["--alpha", "1"],
+    ["--model", "unit_disc"],
+    ["--model", "rayleigh", "--big-m", "2"],
+], ids=" ".join)
+def test_analytic_lines_are_the_rows_formatted_one_by_one(tmp_path, make_params, grid):
+    # the CLI fills one template per grid; the reference formats each row of
+    # point_rows on its own, its floats by format(v, '.12g')
+    rhos, psis = (0.006, 0.019, 0.3), (-10.0, 0.0, 15.0)
+    code, out = _run(tmp_path, "analytic", "--rho", "0.006,0.019,0.3", "--psi-db=-10,0,15",
+                     *grid)
+    assert code == 0
+    args = dict(zip(grid[::2], grid[1::2]))
+    alpha, big_m = int(args.get("--alpha", 2)), int(args.get("--big-m", 10))
+    model = args.get("--model", "both")
+    models = ("unit_disc", "rayleigh") if model == "both" else (model,)
+    lines = ["model,rho,psi_db,m_or_M,metric,value\n"]
+    for rho in rhos:
+        for psi_db in psis:
+            params = make_params(rho=rho, psi_db=psi_db, ple=alpha)
+            lines += [f"{name},{format(rho, '.12g')},{format(psi_db, '.12g')},"
+                      f"{'' if m is None else m},{metric},"
+                      f"{value if isinstance(value, str) else format(value, '.12g')}\n"
+                      for name, m, metric, value in analytic.point_rows(params, big_m, models)]
+    assert out.read_text() == "".join(lines)
+
+
 def test_analytic_runs_without_mpmath(tmp_path):
     grid = "--rho 0.026:0.03:0.002 --psi-db 0:4:2"
     out = tmp_path / "out.csv"

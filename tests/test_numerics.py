@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -108,6 +109,80 @@ def test_cached_panel_edges_are_read_only():
             assert not edges.flags.writeable
             with pytest.raises(ValueError):
                 edges[0] = 0.5
+
+
+def _within_ulps(values, reference, ulps):
+    reference = np.asarray(reference, dtype=float)
+    return np.abs(values - reference) <= ulps * np.spacing(np.abs(reference))
+
+
+def test_tabulated_rules_are_the_legendre_rules():
+    # the rules are tabulated so that no run imports numpy.polynomial; the
+    # golden digests hold their exact bits, so here each literal need only be
+    # within 2 ulp of leggauss, whose last bit may vary with numpy and LAPACK
+    from numpy.polynomial.legendre import leggauss
+
+    mpmath = pytest.importorskip("mpmath")
+    for nodes, weights, n in ((numerics._FINE_NODES, numerics._FINE_WEIGHTS, 40),
+                              (numerics._CHECK_NODES, numerics._CHECK_WEIGHTS, 20)):
+        expected_nodes, expected_weights = leggauss(n)
+        assert _within_ulps(nodes, expected_nodes, 2).all(), n
+        assert _within_ulps(weights, expected_weights, 2).all(), n
+        # every node within 1 ulp of the root of P_n at 40 digits; leggauss's
+        # outer weights are ~1e-12 off the exact ones, so they get a relative bound
+        with mpmath.workdps(40):
+            roots = [mpmath.findroot(lambda t: mpmath.legendre(n, t), x) for x in nodes.tolist()]
+            exact = [2 * (1 - r**2) / (n * mpmath.legendre(n - 1, r))**2 for r in roots]
+        assert _within_ulps(nodes, [float(r) for r in roots], 1).all(), n
+        np.testing.assert_allclose(weights, [float(w) for w in exact], rtol=1e-11, atol=0.0)
+
+
+def _scalar_gamma_or_inf(s, x):
+    # upper_incomplete_gamma, inf where it overflows, as the closed form reads it
+    try:
+        return upper_incomplete_gamma(s, x)
+    except OverflowError:
+        return math.inf
+
+
+@functools.cache
+def _seeded_gamma_lanes():
+    # s = j/2 up to j = 400, past where gamma(s) overflows; x in [0, 740],
+    # with x = 0, x = 740, x = s + 1, and x one ulp and a little either side of it
+    rng = np.random.default_rng(20)
+    s = 0.5 * rng.integers(1, 401, size=1650)
+    x = rng.uniform(0.0, 740.0, size=1650)
+    kind = rng.integers(0, 7, size=1650)
+    x[kind == 1] = 0.0
+    x[kind == 2] = 740.0
+    x[kind == 3] = s[kind == 3] + 1.0
+    x[kind == 4] = np.nextafter(s[kind == 4] + 1.0, 0.0)
+    x[kind == 5] = np.nextafter(s[kind == 5] + 1.0, np.inf)
+    x[kind == 6] = (s[kind == 6] + 1.0) * rng.uniform(0.9, 1.1, size=(kind == 6).sum())
+    expected = np.array([_scalar_gamma_or_inf(a, b) for a, b in zip(s.tolist(), x.tolist())])
+    # every branch, and overflows, many times over
+    assert ((x > 0.0) & (x < s + 1.0)).sum() > 300 and (x > s + 1.0).sum() > 300
+    assert np.isinf(expected).sum() > 100 and np.isfinite(expected).sum() > 1000
+    return s, x, expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 1650])
+def test_incomplete_gamma_lanes_give_the_scalar_bits(size):
+    s, x, expected = _seeded_gamma_lanes()
+    got = np.concatenate([numerics._upper_incomplete_gammas(s[i:i + size], x[i:i + size])
+                          for i in range(0, len(s), size)])
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("limit, s, x", [("_MAX_SERIES_ITER", 5.5, 1.0),
+                                         ("_MAX_CF_ITER", 2.5, 20.0)])
+def test_incomplete_gamma_lanes_raise_at_the_step_limit(monkeypatch, limit, s, x):
+    # a lane that has not converged at the limit raises, as the scalar loop does
+    monkeypatch.setattr(numerics, limit, 3)
+    with pytest.raises(QuadratureError):
+        upper_incomplete_gamma(s, x)
+    with pytest.raises(QuadratureError):
+        numerics._upper_incomplete_gammas(np.array([1.0, s]), np.array([0.0, x]))
 
 
 def test_upper_gamma_shape_one_is_exponential():
