@@ -48,8 +48,9 @@ _FIRST_ORDER_DELTA = 2.0**-26
 # from this many active lanes a step of the backward recurrence runs in
 # numpy; one lane in numpy costs about 100 times a Python float step
 _MIN_LANES = 64
-# points whose closed forms grid_rows computes, and escalates, together; it
-# holds a few arrays of big_m floats per point while the chunk's rows stream
+# points whose link probabilities and closed forms grid_rows computes, and
+# escalates, together; it holds a few arrays of big_m floats per point while
+# the chunk's rows stream
 _GRID_CHUNK = 256
 
 
@@ -95,34 +96,65 @@ def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
     ((50+2m)/rho for the gap density, lam*(50+2m)^(1/alpha) for the channel
     factor), so the cutoff takes whichever is tighter; on near-empty roads
     only the channel scale keeps the interval comparable to the integrand's
-    support.  A value is the same bits whatever batch of m it is integrated in.
+    support.  A value is the same bits whatever batch of points and m it is
+    integrated in.
     """
     m = _require_neighbor_index(m)
-    return float(_link_probabilities(params, range(m, m + 1))[0])
+    return _link_probabilities([params], range(m, m + 1))[0][0]
 
 
-def _link_probabilities(params: ScenarioParams, ms: range) -> np.ndarray:
-    """P(m) for every m in ``ms``, from one call of the batched quadrature."""
-    rho = params.rho
-    alpha = params.ple
-    c = _snr_decay_coefficient(params)
-    lam = communication_range(params)
-    upper = np.array([min((50.0 + 2.0 * m) / rho, lam * (50.0 + 2.0 * m) ** (1.0 / alpha))
-                      for m in ms])
-    log_norm = np.array([m * math.log(rho) - math.lgamma(m) for m in ms])[:, None, None]
-    power = np.array(ms, dtype=float)[:, None, None] - 1.0
+def _link_probabilities(points: list[ScenarioParams], ms: range) -> list[list[float]]:
+    """P(m), m in ``ms``, of every point, from one batched quadrature per path-loss exponent."""
+    links: dict[int, list[float]] = {}
+    for alpha in sorted({params.ple for params in points}):
+        which = [i for i, params in enumerate(points) if params.ple == alpha]
+        links.update(zip(which, _exponent_links([points[i] for i in which], ms, alpha)))
+    return [links[i] for i in range(len(points))]
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        # log_norm + power log x - rho x - c x^alpha, built in one array
+
+def _exponent_links(points: list[ScenarioParams], ms: range, alpha: int) -> list[list[float]]:
+    """P(m), m in ``ms``, of points that share the path-loss exponent ``alpha``.
+
+    Each (point, m) integral is a lane on the abscissa row of its cutoff and
+    m: the lanes cut at the gap scale (50+2m)/rho share a row across every
+    threshold, those cut at the channel scale across every density.  A row
+    holds x, (m-1) log x and x^alpha; a lane adds its log normalisation,
+    then subtracts rho x and c x^alpha, the operations of the single-point
+    integrand in its order, so each value has the bits of its point
+    integrated alone.
+    """
+    m_col = np.array(ms, dtype=float)
+    rho = np.array([params.rho for params in points])
+    c = np.array([_snr_decay_coefficient(params) for params in points])
+    lam = np.array([communication_range(params) for params in points])
+    reach = np.array([(50.0 + 2.0 * m) ** (1.0 / alpha) for m in ms])
+    # one row per distinct (m, cutoff); lane i is (point i // len(ms), m)
+    keys, rows = np.unique(np.column_stack([
+        np.tile(m_col, len(points)),
+        np.minimum((50.0 + 2.0 * m_col) / rho[:, None], lam[:, None] * reach).ravel(),
+    ]), axis=0, return_inverse=True)
+    power = keys[:, 0] - 1.0
+    log_norm = (m_col * np.array([math.log(params.rho) for params in points])[:, None]
+                - np.array([math.lgamma(m) for m in ms])).ravel()
+
+    def integrand(x: np.ndarray, ids: np.ndarray, at: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        # log_norm + power log x - rho x - c x^alpha, the logs shared by a row
         y = np.log(x)
-        y *= power
-        y += log_norm
-        y -= rho * x
-        y -= c * x**alpha
+        y *= power[ids, None]
+        y = y[at]
+        y += log_norm[lanes, None]
+        point = lanes // len(ms)
+        term = x[at]
+        term *= rho[point, None]
+        y -= term
+        x **= alpha
+        np.take(x, at, axis=0, out=term, mode="clip")
+        term *= c[point, None]
+        y -= term
         return np.exp(y, out=y)
 
-    values, _ = integrate_semi_infinite(integrand, upper)
-    return np.clip(values, 0.0, 1.0)
+    values, _ = integrate_semi_infinite(integrand, keys[:, 1], rows.reshape(-1))
+    return np.clip(values, 0.0, 1.0).reshape(len(points), -1).tolist()
 
 
 def _closed_form_mp(m: int, a: float, z: float) -> float:
@@ -274,10 +306,10 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
 
     Lane (m, a) sums the terms C(m-1, k) (-a/2)^k Gamma((m-k)/2, z), k from
     0 to m-1, with the operations of a scalar Kahan loop: each term is the
-    binomial, converted to a float as Python converts the int, times the
-    power from Python's ``**``, times the gamma, so every lane gets the
-    scalar bits.  Rows run from the largest m down, so the lanes still
-    summing at step k are a prefix.  A power, binomial or gamma that
+    binomial, an exact running product converted to a float as Python
+    converts the int, times the power from Python's ``**``, times the
+    gamma, so every lane gets the scalar bits.  Rows run from the largest m
+    down, so the lanes still summing at step k are a prefix.  A power, binomial or gamma that
     overflows is inf, as is every gamma at z >= ``_EXP_GUARD``, so their
     sums fail the same test as a cancellation too deep for double
     precision, and are not certified.  The prefactor's log, lgamma
@@ -296,6 +328,9 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
     powers = np.array([_or_inf((-0.5 * a).__pow__, range(top))
                        for a in a_s]).reshape(len(a_s), top).T
     m_rows = np.arange(top, ms.start - 1, -1)
+    # C(m-1, k) of each row at step k, an exact int: C(m-1, k+1) is
+    # C(m-1, k) (m-1-k) / (k+1) with no remainder
+    binomials = [1] * len(ms)
     total = np.zeros((len(ms), len(a_s)))
     comp = np.zeros_like(total)
     abs_total = np.zeros_like(total)
@@ -304,8 +339,7 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
         for k in range(top):
             # the rows with m > k
             n = min(len(ms), top - k)
-            binomials = _or_inf(lambda m, k=k: float(math.comb(m - 1, k)), m_rows[:n].tolist())
-            terms = np.multiply(np.array(binomials)[:, None], powers[k])
+            terms = np.multiply(np.array(_or_inf(float, binomials[:n]))[:, None], powers[k])
             terms *= gammas[top - k - n:top - k][::-1]
             abs_total[:n] += np.abs(terms)
             terms -= comp[:n]
@@ -313,6 +347,8 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
             np.subtract(step, total[:n], out=comp[:n])
             comp[:n] -= terms
             total[:n] = step
+            binomials = [b * (m - 1 - k) // (k + 1)
+                         for b, m in zip(binomials[:n], m_rows[:n].tolist())]
         certified = (total > 0.0) & (abs_total / total <= _CANCELLATION_ESCALATE)
     log_pref = (m_rows[:, None] * np.array([math.log(a) for a in a_s]) + np.array(z_s)
                 - math.log(2.0) - np.array([math.lgamma(m) for m in m_rows.tolist()])[:, None])
@@ -387,7 +423,7 @@ def _vehicle_connectivity(links: list[float]) -> tuple[float, float]:
 
 def _side_links(params: ScenarioParams, big_m: int) -> list[float]:
     big_m = _require_neighbor_index(big_m)
-    return _link_probabilities(params, range(1, big_m + 1)).tolist()
+    return _link_probabilities([params], range(1, big_m + 1))[0]
 
 
 def p_vehicle_one_side_rayleigh(params: ScenarioParams, big_m: int = 10) -> float:
@@ -429,22 +465,27 @@ def grid_rows(points: Iterable[ScenarioParams], big_m: int,
               models: Collection[str]) -> Iterator[list[tuple[str, int | None, str, float | str]]]:
     """The rows of :func:`point_rows` for each point in turn, the same values.
 
-    Works through ``points`` in chunks of ``_GRID_CHUNK``: the closed forms
-    of a whole chunk come first, with one solve of every escalation in it,
-    then each point's rows are computed and yielded, so rows do not pile up.
+    Works through ``points`` in chunks of ``_GRID_CHUNK``: the fading links
+    of a whole chunk come first, from one batched quadrature, and its closed
+    forms, with one solve of every escalation in it; then each point's rows
+    are computed and yielded, so rows do not pile up.
     """
     big_m = _require_neighbor_index(big_m)
     ms = range(1, big_m + 1)
     points = iter(points)
+    fading = "rayleigh" in models
     while chunk := list(itertools.islice(points, _GRID_CHUNK)):
+        links = _link_probabilities(chunk, ms) if fading else [None] * len(chunk)
         # which points have closed-form rows
-        closed = ["rayleigh" in models and params.ple == 2 for params in chunk]
+        closed = [fading and params.ple == 2 for params in chunk]
         forms = iter(_closed_forms(list(itertools.compress(chunk, closed)), ms))
-        for params, has_forms in zip(chunk, closed):
-            yield _point_rows(params, ms, models, next(forms) if has_forms else None)
+        for params, point_links, has_forms in zip(chunk, links, closed):
+            yield _point_rows(params, ms, models, point_links,
+                              next(forms) if has_forms else None)
 
 
 def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
+                links: list[float] | None,
                 closed: list[float] | None) -> list[tuple[str, int | None, str, float | str]]:
     big_m = len(ms)
     alpha = params.ple
@@ -454,19 +495,22 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
     finite = [m for m in ms if _finite_mean(params, m)]
     rows = []
     if "unit_disc" in models:
-        links = list(itertools.islice(scenario._erlang_cdfs(params.rho * lam), big_m))
+        disc = list(itertools.islice(scenario._erlang_cdfs(params.rho * lam), big_m))
         # avg_snr_ud's operations, in its order
         log_power = alpha * math.log(params.rho)
-        snr = {m: scale * math.exp(log_power + math.lgamma(m - alpha) - math.lgamma(m))
-               for m in finite}
+        snr = {}
+        try:
+            for m in finite:
+                snr[m] = scale * math.exp(log_power + math.lgamma(m - alpha) - math.lgamma(m))
+        except OverflowError:
+            raise _snr_overflow("unit_disc", m) from None
         rows.append(("unit_disc", None, "unit_disc_range_m", lam))
-        rows += [("unit_disc", m, "p_single_link", p) for m, p in zip(ms, links)]
+        rows += [("unit_disc", m, "p_single_link", p) for m, p in zip(ms, disc)]
         rows += [("unit_disc", m, "avg_snr", snr.get(m, "diverges")) for m in ms]
         rows += [("unit_disc", None, "p_network", p_network_ud(params)),
-                 ("unit_disc", None, "p_vehicle_one_side", links[0]),
+                 ("unit_disc", None, "p_vehicle_one_side", disc[0]),
                  ("unit_disc", None, "avg_node_degree", 2.0 * params.rho * lam)]
     if "rayleigh" in models:
-        links = _link_probabilities(params, ms).tolist()
         rows += [("rayleigh", m, "p_single_link", p) for m, p in zip(ms, links)]
         if closed is not None:
             rows += [("rayleigh", m, "p_single_link_closed", p) for m, p in zip(ms, closed)]
@@ -474,7 +518,10 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
         # overflows for a huge rho, only where some average is finite
         snr = {}
         if finite:
-            base = scale * params.rho**alpha
+            try:
+                base = scale * params.rho**alpha
+            except OverflowError:
+                raise _snr_overflow("rayleigh", finite[0]) from None
             for m in finite:
                 value = base
                 for j in range(1, alpha + 1):
@@ -486,3 +533,8 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
                  ("rayleigh", big_m, "p_vehicle_one_side", one_side),
                  ("rayleigh", big_m, "p_vehicle_two_side", two_side)]
     return rows
+
+
+def _snr_overflow(model: str, m: int) -> OverflowError:
+    """The error of an average SNR that overflows a float, naming its model and m."""
+    return OverflowError(f"{model} avg_snr at m={m} overflows a float")

@@ -193,11 +193,16 @@ def _analytic_rows(args, points):
     big_m, so it has the rows of the first point, with the same labels and
     "diverges" where they have it.  Their lines make one ``%`` template,
     which each point fills with its rho and psi and its values: ``'%.12g' % v``
-    is the string ``format(v, '.12g')``.
+    is the string ``format(v, '.12g')``.  A value that overflows a float
+    names its point as well.
     """
     rows = analytic.grid_rows([params for _, _, params in points], args.big_m, _models(args))
     template = None
-    for (rho, psi_db, _), point in zip(points, rows, strict=True):
+    for rho, psi_db, _ in points:
+        try:
+            point = next(rows)
+        except OverflowError as exc:
+            raise OverflowError(f"{exc} at rho={rho:.12g}, psi_db={psi_db:.12g}") from None
         if template is None:
             template = "".join([f"{model},%s,{'' if m is None else m},{metric},"
                                 f"{'%s' if isinstance(value, str) else '%.12g'}\n"

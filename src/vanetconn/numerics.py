@@ -2,7 +2,8 @@
 
 ``integrate_semi_infinite`` integrates a batch of decaying integrands with one
 composite Gauss–Legendre rule in numpy, its nodes and weights tabulated here,
-so no run imports ``numpy.polynomial`` or solves for them.
+so no run imports ``numpy.polynomial`` or solves for them; integrals with one
+cutoff share their abscissae, which the link probabilities of a grid chunk do.
 ``upper_incomplete_gamma`` serves the path-loss-exponent-2 closed form, and
 ``_upper_incomplete_gammas`` gives its bits for a whole batch of arguments at
 once, which the closed forms of a grid chunk solve in one call.
@@ -10,9 +11,10 @@ once, which the closed forms of a grid chunk solve in one call.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +30,8 @@ _QUAD_PANELS = 16
 _QUAD_NODES = 40
 _QUAD_REL_TOL = 1e-10
 _QUAD_MAX_PANELS = 256
+# abscissa columns per panel: the 40 nodes of the fine rule and the 20 of the check
+_RULE_COLUMNS = _QUAD_NODES + _QUAD_NODES // 2
 # below the smallest normal double a relative error bound is not representable
 _QUAD_ABS_FLOOR = float(np.finfo(float).tiny)
 
@@ -73,8 +77,9 @@ def _whole_rule(half_nodes, half_weights) -> tuple[np.ndarray, np.ndarray]:
 
 _FINE_NODES, _FINE_WEIGHTS = _whole_rule(_HALF_NODES_40, _HALF_WEIGHTS_40)
 _CHECK_NODES, _CHECK_WEIGHTS = _whole_rule(_HALF_NODES_20, _HALF_WEIGHTS_20)
-# the nodes of both rules, fine then check, as _panel_rule evaluates them
-_RULE_NODES = np.concatenate([_FINE_NODES, _CHECK_NODES])
+# integrals whose integrand one call evaluates on the first panels; the count
+# halves as the panels double, so a block holds about as many nodes
+_QUAD_LANES = 12
 
 
 @functools.cache
@@ -88,63 +93,155 @@ def _panel_edges(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def _panel_rule(f, lo, hi):
-    """Fine-rule value and |fine - check| of every panel [lo, hi], shaped (M, K)."""
-    half = 0.5 * (hi - lo)
-    y = f((0.5 * (hi + lo))[..., None] + half[..., None] * _RULE_NODES)
-    fine = half * (y[..., :_QUAD_NODES] * _FINE_WEIGHTS).sum(axis=-1)
-    check = half * (y[..., _QUAD_NODES:] * _CHECK_WEIGHTS).sum(axis=-1)
-    return fine, np.abs(fine - check)
+@functools.cache
+def _tiled_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The abscissa columns of ``panels`` panels: nodes, weights, panel edges and widths.
+
+    The columns hold every panel's 40 fine nodes, then every panel's 20
+    check nodes, so each rule's nodes are one contiguous block.  The edges
+    on [0, 1] (left ends, then right ends) list the panels once for each
+    rule, and the widths say how many columns each such panel has.
+    Read-only, since every integration with that panel count shares them.
+    """
+    left, right = _panel_edges(panels)
+    rule = (np.concatenate([np.tile(_FINE_NODES, panels), np.tile(_CHECK_NODES, panels)]),
+            np.concatenate([np.tile(_FINE_WEIGHTS, panels), np.tile(_CHECK_WEIGHTS, panels)]),
+            np.concatenate([left, left, right, right]).reshape(2, -1),
+            np.repeat([_QUAD_NODES, _QUAD_NODES // 2], panels))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], upper):
+def _abscissae(width: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The abscissae of rows on [0, width], shaped (rows, panels * 60), and the panels' half-widths.
+
+    A node is mid + half * t for its panel's midpoint, half-width and node t.
+    """
+    nodes, _, edges, columns = _tiled_rule(panels)
+    lo, hi = width * edges[0], width * edges[1]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    x = np.repeat(half, columns, axis=1)
+    x *= nodes
+    x += np.repeat(mid, columns, axis=1)
+    return x, half[:, :panels]
+
+
+def integrate_semi_infinite(f: Callable[..., np.ndarray], upper, rows=None):
     """Integrate a batch of decaying integrands over [0, inf).
 
-    ``upper`` is a scalar or a 1-D array with one cutoff per integral.  The
-    infinite tail is cut there, so the caller picks it where the neglected
-    mass is negligible (an exp(-rho*x) envelope makes upper = 50/rho enough,
-    with the tail under e^-50).  ``f`` maps an array of abscissae shaped
-    (M, panels, nodes), row i inside [0, upper[i]], to the integrand values
-    of integral i at them; the abscissae are interior, never 0 or upper.
+    ``upper`` is a scalar or a 1-D array with one cutoff per abscissa row:
+    row i lays its nodes on [0, upper[i]].  The infinite tail is cut there,
+    so the caller picks it where the neglected mass is negligible (an
+    exp(-rho*x) envelope makes upper = 50/rho enough, with the tail under
+    e^-50).  ``rows`` gives the row of each integral, so integrals with one
+    cutoff share their abscissae; without it integral i lies on row i.
+
+    ``f(x, ids, at, lanes)`` evaluates a block of at most 12 integrals, the
+    indices ``lanes``: ``x`` holds the abscissae of the rows ``ids``, one
+    row each, and integral ``lanes[j]`` lies on row ``x[at[j]]``.  It
+    returns a new array shaped (len(lanes), x.shape[1]), the integrand of
+    each integral at the abscissae of its row; it may overwrite ``x``, and
+    this function overwrites what it returns.  The abscissae are interior,
+    never 0 or upper, and with one integral per row ``at`` is 0, 1, ..., so
+    an integrand that does not depend on the integral can map x
+    elementwise.
 
     The rule is composite Gauss–Legendre: 16 equal panels with 40 nodes each,
     and the 20-node rule on the same panels for the error estimate, the sum
     of |40-node - 20-node| over the panels.  That estimate must be within
     1e-10 of each integral's value (or below the smallest normal double).
-    Where it is not, the batch is rerun on twice as many equal panels and
-    the integrals that failed take the new values, up to 256 panels; past
-    that :class:`QuadratureError` is raised, never a silently truncated
-    result.  An integral keeps the values of the first panel count it
-    certifies on, so its value does not depend on the others in the batch.
+    Where it is not, the integrals that failed are rerun on twice as many
+    equal panels and take the new values, up to 256 panels; past that
+    :class:`QuadratureError` is raised, never a silently truncated result.
+    An integral keeps the values of the first panel count it certifies on,
+    and each of its nodes goes through the same operations whatever else is
+    in the batch, so its value does not depend on the others.
 
-    Returns ``(values, abserr)``: the values, shaped like ``upper``, and the
-    largest error estimate over the batch as a float.
+    Returns ``(values, abserr)``: the values, one per integral (shaped like
+    ``upper`` without ``rows``), and the largest error estimate over the
+    batch as a float.
     """
     upper = np.asarray(upper, dtype=float)
     width = upper.reshape(-1, 1)
-    totals = np.zeros(width.shape[0])
-    estimates = np.zeros(width.shape[0])
-    failing = np.ones(width.shape[0], dtype=bool)
+    shape = upper.shape if rows is None else (len(rows),)
+    rows = np.arange(len(width)) if rows is None else np.asarray(rows)
+    totals = np.zeros(len(rows))
+    estimates = np.zeros(len(rows))
+    # the integrals still to certify, row by row
+    pending = np.argsort(rows, kind="stable")
     panels = _QUAD_PANELS
     while True:
-        left, right = _panel_edges(panels)
-        value, err = _panel_rule(f, width * left, width * right)
-        value, err = value[failing], err[failing]
-        if not np.isfinite(value).all() or not np.isfinite(err).all():
-            raise QuadratureError(f"integrand not finite on [0, {upper.max():g}]")
-        totals[failing] = [math.fsum(v) for v in value.tolist()]
-        estimates[failing] = err.sum(axis=1)
-        allowed = np.maximum(_QUAD_REL_TOL * np.abs(totals), _QUAD_ABS_FLOOR)
-        failing = estimates > allowed
+        with _row_buffers(panels * _RULE_COLUMNS):
+            size = max(1, _QUAD_LANES * _QUAD_PANELS // panels)
+            for lanes, ids, at in _blocks(rows, pending, size):
+                fine, err = _block_rule(f, width, panels, ids, at, lanes)
+                totals[lanes] = [math.fsum(v) for v in fine.tolist()]
+                estimates[lanes] = err.sum(axis=1)
+        allowed = np.maximum(_QUAD_REL_TOL * np.abs(totals[pending]), _QUAD_ABS_FLOOR)
+        failing = estimates[pending] > allowed
         if not failing.any():
-            return totals.reshape(upper.shape), float(estimates.max(initial=0.0))
+            return totals.reshape(shape), float(estimates.max(initial=0.0))
         if panels == _QUAD_MAX_PANELS:
             i = int(np.argmax(failing))
             raise QuadratureError(
-                f"error estimate {estimates[i]:.3e} exceeds requested tolerance "
-                f"{allowed[i]:.3e} on [0, {upper.flat[i]:g}] within {_QUAD_MAX_PANELS} panels"
+                f"error estimate {estimates[pending[i]]:.3e} exceeds requested tolerance "
+                f"{allowed[i]:.3e} on [0, {width[rows[pending[i]], 0]:g}] "
+                f"within {_QUAD_MAX_PANELS} panels"
             )
+        pending = pending[failing]
         panels *= 2
+
+
+@contextlib.contextmanager
+def _row_buffers(size: int) -> Iterator[None]:
+    """Ufunc buffers of ``size`` elements, one abscissa row, inside the block.
+
+    With its default 8192-element buffers numpy 2.4 buffers a broadcast
+    operand, such as a lane's constant or the tiled weights, across rows:
+    on a 12 x 960 block such a product took about twice as long as with
+    buffers of one row, and allocated a 64 KiB buffer.  The values are the
+    same bits either way.
+    """
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _blocks(rows: np.ndarray, pending: np.ndarray,
+            size: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(lanes, ids, at)`` of each block of at most ``size`` integrals of ``pending``.
+
+    ``pending`` lists integrals row by row; a block's rows are ``ids`` and
+    integral ``lanes[j]`` lies on row ``ids[at[j]]``.
+    """
+    # sorted by row, so the rows of a block are a run of heads
+    heads, head_of = np.unique(rows[pending], return_inverse=True)
+    for start, first in zip(range(0, len(pending), size), head_of[::size].tolist()):
+        at = head_of[start:start + size] - first
+        yield pending[start:start + size], heads[first:first + int(at[-1]) + 1], at
+
+
+def _block_rule(f, width: np.ndarray, panels: int, ids: np.ndarray, at: np.ndarray,
+                lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fine-rule value and |fine - check| of every panel of a block's integrals, shaped (lanes, panels)."""
+    x, half = _abscissae(width[ids], panels)
+    y = f(x, ids, at, lanes)
+    y *= _tiled_rule(panels)[1]
+    half = half[at]
+    fine_nodes = panels * _QUAD_NODES
+    fine = y[:, :fine_nodes].reshape(len(at), panels, -1).sum(axis=-1)
+    fine *= half
+    err = y[:, fine_nodes:].reshape(len(at), panels, -1).sum(axis=-1)
+    err *= half
+    err -= fine
+    np.abs(err, out=err)
+    # a value that is not finite makes its error estimate so too
+    if not np.isfinite(err).all():
+        raise QuadratureError(f"integrand not finite on [0, {width[ids].max():g}]")
+    return fine, err
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:

@@ -1,12 +1,13 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vanetconn import analytic
+from vanetconn import analytic, cli
 from vanetconn.analytic import (
     DivergentMeanError,
     avg_node_degree,
@@ -398,13 +399,91 @@ def test_closed_form_gives_the_same_bits_whatever_the_memo_holds(
     assert scalar == expected == {m: span[m] for m in neighbours}
 
 
+def _link_one_integral(params, m):
+    # P(m) integrated on a row of its own with the single-point integrand:
+    # log_norm + power log x - rho x - c x^alpha, in that order
+    rho, alpha = params.rho, params.ple
+    c = params.psi * params.noise_power / (params.beta * params.tx_power)
+    lam = communication_range(params)
+    upper = min((50.0 + 2.0 * m) / rho, lam * (50.0 + 2.0 * m) ** (1.0 / alpha))
+    log_norm = m * math.log(rho) - math.lgamma(m)
+
+    def integrand(x, *_):
+        y = np.log(x)
+        y *= m - 1.0
+        y += log_norm
+        y -= rho * x
+        y -= c * x**alpha
+        return np.exp(y)
+
+    value, _ = analytic.integrate_semi_infinite(integrand, np.array([upper]))
+    return min(max(float(value[0]), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4, 6])
+def test_chunk_link_probabilities_equal_one_point_calls(make_params, monkeypatch, alpha):
+    # four densities by four thresholds: the lanes cut at the gap scale
+    # share a row across the thresholds, those cut at the channel scale
+    # across the densities; every value keeps the bits of its point alone
+    points = [make_params(rho=rho, psi_db=psi_db, ple=alpha)
+              for rho in (1e-6, 0.019, 0.3, 100.0) for psi_db in (-300.0, -10.0, 20.0, 300.0)]
+    ms = range(1, 401)
+    batches = []
+    integrate = analytic.integrate_semi_infinite
+
+    def recorded(f, upper, rows):
+        batches.append((upper, rows))
+        return integrate(f, upper, rows)
+
+    monkeypatch.setattr(analytic, "integrate_semi_infinite", recorded)
+    chunk = analytic._link_probabilities(points, ms)
+    monkeypatch.undo()
+    (upper, rows), = batches
+    lanes = np.arange(len(rows)) // len(ms)
+    shared = [(len({points[i].rho for i in lanes[rows == r].tolist()}),
+               len({points[i].psi for i in lanes[rows == r].tolist()})) for r in range(len(upper))]
+    assert any(n_rho == 1 and n_psi > 1 for n_rho, n_psi in shared), "no gap-scale row is shared"
+    assert any(n_rho > 1 and n_psi == 1 for n_rho, n_psi in shared), "no channel-scale row is shared"
+    assert chunk == [analytic._link_probabilities([params], ms)[0] for params in points]
+    for params, links in zip(points, chunk):
+        for m in (1, 2, 3, 10, 57, 200, 400):
+            assert links[m - 1] == p_sl_rayleigh(params, m) == _link_one_integral(params, m), m
+    # points of every exponent in one chunk give the same values
+    if alpha == 6:
+        mixed = [make_params(rho=0.019, psi_db=5.0, ple=ple) for ple in (3, 1, 6, 2, 4)]
+        assert analytic._link_probabilities(mixed, ms) == [
+            analytic._link_probabilities([params], ms)[0] for params in mixed]
+
+
+def test_grid_rows_peak_memory_stays_at_the_per_point_quadrature(make_params):
+    # the 165-point analytic-grid workload: its link probabilities run in
+    # blocks of lanes, so the traced peak of the whole grid stays at or below
+    # 390 106 bytes, the peak of one quadrature call per point (numpy 2.4,
+    # CPython 3.11)
+    points = [make_params(rho=rho, psi_db=psi_db)
+              for rho in cli._parse_value_spec("0.002:0.03:0.002")
+              for psi_db in cli._parse_value_spec("0:20:2")]
+    models = ("unit_disc", "rayleigh")
+    # a first pass fills the quadrature's cached rule tables
+    for _ in analytic.grid_rows(points, 10, models):
+        pass
+    tracemalloc.start()
+    try:
+        for _ in analytic.grid_rows(points, 10, models):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 390_106
+
+
 def test_vehicle_connectivity_cache_gives_the_uncached_values(make_params):
     # every p_sl_rayleigh value from its own quadrature, against the products'
     # one batch per span (no cache is left; the name keeps the id)
     def reference(params, big_m):
         prod = 1.0
         for m in range(1, big_m + 1):
-            prod *= 1.0 - analytic._link_probabilities(params, range(m, m + 1))[0]
+            prod *= 1.0 - analytic._link_probabilities([params], range(m, m + 1))[0][0]
         return 1.0 - prod, 1.0 - prod**2
 
     first, second = make_params(rho=0.011, psi_db=7.0), make_params(rho=0.023, psi_db=7.0)

@@ -188,6 +188,20 @@ def test_analytic_closed_form_at_infinite_reach(tmp_path):
     assert closed == ["1", "1"]
 
 
+@pytest.mark.parametrize("model, psi_db", [("both", "15"), ("rayleigh", "15"),
+                                           ("rayleigh", "-300")])
+def test_analytic_average_snr_overflow_names_its_metric_and_point(tmp_path, capsys, model,
+                                                                 psi_db):
+    # rho^alpha overflows a float in the m = 3 average SNR (the unit disc's
+    # comes first when both models run); the one-line error says which value
+    code, _ = _run(tmp_path, "analytic", "--rho", "0.019,1e300", "--psi-db", psi_db,
+                   "--big-m", "3", "--model", model)
+    assert code == 1
+    first = "unit_disc" if model == "both" else "rayleigh"
+    assert capsys.readouterr().err == (f"vanetconn: {first} avg_snr at m=3 overflows a float "
+                                       f"at rho=1e+300, psi_db={psi_db}\n")
+
+
 def test_analytic_closed_form_past_the_double_precision_guard(tmp_path):
     # rho^2 lam^2 / 4 is about 1250 here
     code, out = _run(tmp_path, "analytic", "--rho", "0.05", "--psi-db", "0")
@@ -328,20 +342,20 @@ def test_analytic_runs_without_mpmath(tmp_path):
 
 
 def test_analytic_point_runs_one_quadrature_call(tmp_path, monkeypatch):
-    # every link probability of a point in one batch; the rows and the
-    # vehicle-connectivity products read it
+    # every link probability of a grid chunk in one batch, one integral per
+    # point and m; the rows and the vehicle-connectivity products read it
     calls = []
     integrate = analytic.integrate_semi_infinite
 
-    def counting(f, upper):
-        calls.append(upper.shape)
-        return integrate(f, upper)
+    def counting(f, upper, rows):
+        calls.append(len(rows))
+        return integrate(f, upper, rows)
 
     monkeypatch.setattr(analytic, "integrate_semi_infinite", counting)
     code, _ = _run(tmp_path, "analytic", "--rho", "0.019,0.023", "--psi-db", "15",
                    "--model", "rayleigh", "--big-m", "10")
     assert code == 0
-    assert calls == [(10,), (10,)]
+    assert calls == [20]
 
 
 def test_analytic_grid_escalates_in_one_lane_solve(tmp_path, monkeypatch):

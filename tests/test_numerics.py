@@ -14,13 +14,13 @@ from vanetconn.numerics import (
 
 
 def test_exponential_integral():
-    value, err = integrate_semi_infinite(lambda x: np.exp(-x), upper=60.0)
+    value, err = integrate_semi_infinite(lambda x, *_: np.exp(-x), upper=60.0)
     assert abs(value - 1.0) < 1e-10
     assert err < 1e-9
 
 
 def test_gamma_two_integral():
-    value, _ = integrate_semi_infinite(lambda x: x * np.exp(-x), upper=80.0)
+    value, _ = integrate_semi_infinite(lambda x, *_: x * np.exp(-x), upper=80.0)
     assert abs(value - 1.0) < 1e-10
 
 
@@ -33,7 +33,7 @@ def test_shifted_gaussian_against_erfc_closed_form():
         a / (2 * math.sqrt(b))
     )
     value, _ = integrate_semi_infinite(
-        lambda x: np.exp(-a * x - b * x * x), upper=50.0 / a
+        lambda x, *_: np.exp(-a * x - b * x * x), upper=50.0 / a
     )
     assert abs(expected - 48.7) < 0.2, "sanity: the frozen magnitude of the oracle"
     assert abs(value - expected) < 1e-8 * expected
@@ -42,7 +42,7 @@ def test_shifted_gaussian_against_erfc_closed_form():
 def test_nonconvergence_is_an_explicit_failure():
     # about 6400 oscillations on [0, 50] exhaust the 256 panels
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda x: np.sin(400.0 * x) ** 2 * np.exp(-x), upper=50.0)
+        integrate_semi_infinite(lambda x, *_: np.sin(400.0 * x) ** 2 * np.exp(-x), upper=50.0)
 
 
 def test_bisected_panels_certify_an_oscillating_integrand():
@@ -50,15 +50,22 @@ def test_bisected_panels_certify_an_oscillating_integrand():
     # the 16 starting panels fail their check and the rule reruns on more
     for k in (20.0, 40.0):
         expected = 0.5 - 0.5 / (1.0 + 4.0 * k * k)
-        value, err = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(k * x) ** 2, upper=50.0)
+        value, err = integrate_semi_infinite(lambda x, *_: np.exp(-x) * np.sin(k * x) ** 2,
+                                             upper=50.0)
         assert abs(value - expected) < 1e-12 * expected, f"k={k}"
         assert err <= 1e-10 * value
 
 
 def test_error_bound_is_relative_to_a_tiny_value():
-    value, err = integrate_semi_infinite(lambda x: 1e-250 * np.exp(-x), upper=60.0)
+    value, err = integrate_semi_infinite(lambda x, *_: 1e-250 * np.exp(-x), upper=60.0)
     assert abs(value - 1e-250) < 1e-13 * 1e-250
     assert err <= 1e-10 * value
+
+
+def _oscillating(k):
+    # e^-x sin^2(k x) for integral i at k[i]; k = 20 and 40 fail the 16
+    # starting panels and rerun on more
+    return lambda x, ids, at, lanes: np.exp(-x[at]) * np.sin(k[lanes, None] * x[at]) ** 2
 
 
 def test_each_integral_of_a_batch_is_its_own():
@@ -66,46 +73,78 @@ def test_each_integral_of_a_batch_is_its_own():
     # value is the bits it has alone, and the error estimate is the largest one
     k = np.array([1.0, 40.0, 3.0, 20.0])
     upper = np.array([50.0, 50.0, 30.0, 60.0])
-
-    def batch(rows):
-        return lambda x: np.exp(-x) * np.sin(k[rows, None, None] * x) ** 2
-
-    values, err = integrate_semi_infinite(batch(slice(None)), upper)
+    values, err = integrate_semi_infinite(_oscillating(k), upper)
     assert values.shape == (4,) and isinstance(err, float)
-    alone = [integrate_semi_infinite(batch(slice(i, i + 1)), upper[i:i + 1]) for i in range(4)]
+    alone = [integrate_semi_infinite(_oscillating(k[i:i + 1]), upper[i:i + 1]) for i in range(4)]
     assert values.tolist() == [v[0] for v, _ in alone]
     assert err == max(e for _, e in alone)
 
 
-def test_link_integrals_certify_on_their_first_panels(monkeypatch, make_params):
-    # the rule is sized so that a link-probability batch certifies on its
-    # first 16 panels: one panel-rule call per batch over the corners of the
-    # path-loss exponent, threshold and density
+def test_integrals_that_share_a_row_keep_the_bits_they_have_alone():
+    # 40 integrals on 3 abscissa rows, more than one block of lanes, the
+    # lanes of a row in no particular order and two of them rerun on more
+    # panels: each integral's value is the bits it has on a row of its own
+    rng = np.random.default_rng(5)
+    k = rng.uniform(0.5, 4.0, size=40)
+    k[[7, 30]] = 20.0, 40.0
+    rows = rng.integers(0, 3, size=40)
+    upper = np.array([50.0, 30.0, 60.0])
     calls = []
-    panel_rule = numerics._panel_rule
 
-    def counted(f, lo, hi):
-        calls.append(lo.shape)
-        return panel_rule(f, lo, hi)
+    def integrand(x, ids, at, lanes):
+        calls.append((x.shape[1] // 60, len(lanes)))
+        assert len(x) == len(ids) <= len(lanes) and (at < len(ids)).all()
+        assert (rows[lanes] == ids[at]).all()
+        return _oscillating(k)(x, ids, at, lanes)
 
-    monkeypatch.setattr(numerics, "_panel_rule", counted)
+    values, err = integrate_semi_infinite(integrand, upper, rows)
+    assert values.shape == (40,) and isinstance(err, float)
+    alone = [integrate_semi_infinite(_oscillating(k[i:i + 1]), upper[rows[i]:rows[i] + 1])
+             for i in range(40)]
+    assert values.tolist() == [v[0] for v, _ in alone]
+    assert err == max(e for _, e in alone)
+    # (panels, lanes) of each block: at most 12 lanes on the first panels,
+    # half as many each time they double, and only the reruns go on
+    assert calls == [(16, 12), (16, 12), (16, 12), (16, 4), (32, 2), (64, 2), (128, 1)]
+
+
+def test_link_integrals_certify_on_their_first_panels(monkeypatch, make_params):
+    # the rule is sized so that link-probability integrals certify on their
+    # first 16 panels: over the corners of the path-loss exponent, threshold
+    # and density, every abscissa row is laid on 16 panels and none on more
+    shapes = []
+    abscissae = numerics._abscissae
+
+    def recorded(width, panels):
+        shapes.append(panels)
+        return abscissae(width, panels)
+
+    monkeypatch.setattr(numerics, "_abscissae", recorded)
     for ple in (1, 2, 3, 4, 6):
-        for psi_db in (-300.0, 0.0, 15.0, 300.0):
-            for rho in (1e-6, 0.019, 1.0):
-                params = make_params(rho=rho, psi_db=psi_db, ple=ple)
-                calls.clear()
-                analytic._link_probabilities(params, range(1, 401))
-                assert calls == [(400, 16)], (ple, psi_db, rho)
+        points = [make_params(rho=rho, psi_db=psi_db, ple=ple)
+                  for psi_db in (-300.0, 0.0, 15.0, 300.0) for rho in (1e-6, 0.019, 1.0)]
+        shapes.clear()
+        analytic._link_probabilities(points, range(1, 401))
+        assert set(shapes) == {16}, ple
 
 
 def test_cached_panel_edges_are_read_only():
-    # every integration with a panel count shares one pair of edge arrays
+    # every integration with a panel count shares one pair of edge arrays,
+    # and one tiled rule: its nodes, weights and panels column by column
     for panels in (16, 32):
         left, right = numerics._panel_edges(panels)
         assert numerics._panel_edges(panels)[0] is left
         assert left.tolist() == np.linspace(0.0, 1.0, panels + 1)[:-1].tolist()
         assert right.tolist() == np.linspace(0.0, 1.0, panels + 1)[1:].tolist()
-        for edges in (left, right):
+        nodes, weights, rule_edges, columns = numerics._tiled_rule(panels)
+        assert numerics._tiled_rule(panels)[0] is nodes
+        assert weights.tolist() == (numerics._FINE_WEIGHTS.tolist() * panels
+                                    + numerics._CHECK_WEIGHTS.tolist() * panels)
+        assert nodes.tolist() == (numerics._FINE_NODES.tolist() * panels
+                                  + numerics._CHECK_NODES.tolist() * panels)
+        assert rule_edges.tolist() == [left.tolist() * 2, right.tolist() * 2]
+        assert columns.tolist() == [40] * panels + [20] * panels
+        for edges in (left, right, nodes, weights, rule_edges, columns):
             assert not edges.flags.writeable
             with pytest.raises(ValueError):
                 edges[0] = 0.5
