@@ -209,7 +209,7 @@ def _analytic_rows(args, points):
                                 for model, m, metric, value in point])
         # (where, value) for each line
         fields = [f"{rho:.12g},{psi_db:.12g}"] * (2 * len(point))
-        fields[1::2] = [value for *_, value in point]
+        fields[1::2] = [row[3] for row in point]
         yield template % tuple(fields)
 
 

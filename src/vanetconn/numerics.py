@@ -4,9 +4,8 @@
 composite Gauss–Legendre rule in numpy, its nodes and weights tabulated here,
 so no run imports ``numpy.polynomial`` or solves for them; integrals with one
 cutoff share their abscissae, which the link probabilities of a grid chunk do.
-``upper_incomplete_gamma`` serves the path-loss-exponent-2 closed form, and
-``_upper_incomplete_gammas`` gives its bits for a whole batch of arguments at
-once, which the closed forms of a grid chunk solve in one call.
+``upper_incomplete_gamma`` serves the path-loss-exponent-2 closed form, which
+reads it through ``_or_inf`` as inf where it overflows.
 """
 
 from __future__ import annotations
@@ -300,28 +299,6 @@ def _upper_gamma_contfrac(s: float, x: float) -> float:
     raise QuadratureError(f"incomplete gamma continued fraction stalled at s={s}, x={x}")
 
 
-def _upper_incomplete_gammas(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``upper_incomplete_gamma(s[i], x[i])`` of every lane i, inf where it overflows.
-
-    The lanes of each branch run their loop together in numpy, each with the
-    operations of the scalar loop in the same order, and leave it at the step
-    where the scalar loop would return, so every lane gets the scalar bits
-    whatever the batch.  The closing ``exp``, ``log`` and ``gamma`` are
-    ``math`` calls per lane; where one raises ``OverflowError`` the lane is
-    inf.  A loop that reaches its step limit raises ``QuadratureError`` as
-    the scalar one does.  The arguments are 1-D arrays of equal length with
-    s > 0 and x >= 0, which the caller guarantees.
-    """
-    values = np.empty(len(s))
-    zero = x == 0.0
-    series = ~zero & (x < s + 1.0)
-    contfrac = ~(zero | series)
-    values[zero] = _or_inf(math.gamma, s[zero].tolist())
-    values[series] = _series_lanes(s[series], x[series])
-    values[contfrac] = _contfrac_lanes(s[contfrac], x[contfrac])
-    return values
-
-
 def _or_inf(f, *columns: Iterable) -> list[float]:
     """f of the i-th item of every column, for each i; inf where f overflows.
 
@@ -335,65 +312,3 @@ def _or_inf(f, *columns: Iterable) -> list[float]:
         except OverflowError:
             values.append(math.inf)
     return values
-
-
-def _series_lanes(s: np.ndarray, x: np.ndarray) -> list[float]:
-    """The lanes of ``_upper_gamma_series``: Gamma(s) less the lower gamma's series."""
-    totals = np.empty(len(s))
-    lanes = np.arange(len(s))
-    ap = s.copy()
-    term = 1.0 / s
-    total = term.copy()
-    x_left = x
-    for _ in range(_MAX_SERIES_ITER):
-        if not len(lanes):
-            break
-        ap += 1.0
-        term *= x_left / ap
-        total += term
-        done = np.abs(term) < np.abs(total) * _EPS
-        if done.any():
-            totals[lanes[done]] = total[done]
-            going = ~done
-            lanes, x_left = lanes[going], x_left[going]
-            ap, term, total = ap[going], term[going], total[going]
-    if len(lanes):
-        i = lanes[0]
-        raise QuadratureError(f"incomplete gamma series stalled at s={s[i]}, x={x[i]}")
-    return _or_inf(lambda s, x, total: math.gamma(s) - total * math.exp(-x + s * math.log(x)),
-                   s.tolist(), x.tolist(), totals.tolist())
-
-
-def _contfrac_lanes(s: np.ndarray, x: np.ndarray) -> list[float]:
-    """The lanes of ``_upper_gamma_contfrac``: its modified-Lentz continued fraction."""
-    products = np.empty(len(s))
-    lanes = np.arange(len(s))
-    s_left = s
-    b = x + 1.0 - s
-    c = np.full(len(s), 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _MAX_CF_ITER):
-        if not len(lanes):
-            break
-        an = -i * (i - s_left)
-        b += 2.0
-        d *= an
-        d += b
-        d[np.abs(d) < _TINY] = _TINY
-        c = b + an / c
-        c[np.abs(c) < _TINY] = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            products[lanes[done]] = h[done]
-            going = ~done
-            lanes, s_left = lanes[going], s_left[going]
-            b, c, d, h = b[going], c[going], d[going], h[going]
-    if len(lanes):
-        i = lanes[0]
-        raise QuadratureError(f"incomplete gamma continued fraction stalled at s={s[i]}, x={x[i]}")
-    return _or_inf(lambda s, x, h: math.exp(-x + s * math.log(x)) * h,
-                   s.tolist(), x.tolist(), products.tolist())

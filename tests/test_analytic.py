@@ -620,6 +620,16 @@ def test_average_snr_scalings(make_params):
     assert abs(avg_snr_ud(doubled_rho, 5) / avg_snr_ud(params, 5) - 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("average, model", [(avg_snr_rayleigh, "rayleigh"),
+                                            (avg_snr_ud, "unit_disc")])
+def test_average_snr_overflow_names_its_model_and_m(make_params, average, model):
+    # rho^2 overflows a float in the fading average and e^(2 log rho) in the
+    # unit disc's; the error says which value, not just "out of range"
+    with pytest.raises(OverflowError) as error:
+        average(make_params(rho=1e300), 3)
+    assert str(error.value) == f"{model} avg_snr at m=3 overflows a float"
+
+
 def test_node_degree_closed_form(make_params):
     params = make_params()
     lam = communication_range(params)
