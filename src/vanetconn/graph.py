@@ -1,6 +1,7 @@
 """Snapshot graphs and the connectivity deciders.
 
-A trial's graph is an edge list thresholded from the SNR of a pair window.
+A trial's graph is an edge list: the pairs of its window whose SNR reaches
+the threshold.
 The exact decider counts its connected components over the edge arrays, in
 numpy alone.  The spectral decider follows the Laplacian route:
 the number of zero eigenvalues equals the number of connected components, so
@@ -19,7 +20,6 @@ import numpy as np
 __all__ = [
     "EdgeList",
     "SpectralCeilingError",
-    "edges_from_snr",
     "edges_from_adjacency",
     "count_components",
     "check_spectral_ceiling",
@@ -54,14 +54,6 @@ class EdgeList:
         lap[self.j, self.i] = -1.0
         lap[np.diag_indices(self.n)] = self.degrees
         return lap
-
-
-def edges_from_snr(
-    snr: np.ndarray, psi: float, i: np.ndarray, j: np.ndarray, n: int
-) -> EdgeList:
-    """Threshold the SNR of pairs (i, j) of n vehicles: an edge exists where snr >= psi."""
-    linked = snr >= psi
-    return EdgeList(n=n, i=i[linked], j=j[linked])
 
 
 def edges_from_adjacency(adjacency: np.ndarray) -> EdgeList:

@@ -15,6 +15,7 @@ import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +50,15 @@ DECIDERS = ("eigen", "components", "both")
 _Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """All metrics of one snapshot."""
+class TrialOutcome(NamedTuple):
+    """All metrics of one snapshot: entry t of each ``EnsembleResult`` array."""
 
     connected: bool
-    degrees: np.ndarray
-    linked_pairs_by_gap: np.ndarray  # linked (i, i+m) pairs, m = 1..min(big_m, N-1)
+    mismatch: bool  # the spectral test disagreed with the exact one (decider "both")
+    linked_by_gap: np.ndarray  # linked (i, i+m) pairs, m = 1..min(big_m, N-1)
     n_isolated_two_side: int  # vehicles with no linked neighbour at all
     n_isolated_forward: int  # vehicles (but the last) with no forward link
-    decider_mismatch: bool  # the spectral test disagreed with the exact one (decider "both")
+    degree_mean_interior: float  # mean degree inside default_interior_margin
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,7 @@ def _trial_edges(
     fading = model == RAYLEIGH
     reach = channel.link_reach(params.budget, params.psi, fading)
     placement = scenario.placement_from_headways(headways, reach)
-    n = placement.n_vehicles
-    parts = []
+    i, j = [], []
     for block in placement.blocks():
         if fading:
             snr = channel.snr_rayleigh(
@@ -180,10 +179,10 @@ def _trial_edges(
             )
         else:
             snr = channel.snr_unit_disc(block.distances, params.budget)
-        parts.append(graph.edges_from_snr(snr, params.psi, block.i, block.j, n))
-    return graph.EdgeList(
-        n, np.concatenate([e.i for e in parts]), np.concatenate([e.j for e in parts])
-    )
+        linked = snr >= params.psi
+        i.append(block.i[linked])
+        j.append(block.j[linked])
+    return graph.EdgeList(placement.n_vehicles, np.concatenate(i), np.concatenate(j))
 
 
 def run_trial(
@@ -197,7 +196,9 @@ def run_trial(
 
     The edge list is the one of a trial over all pairs (see ``_trial_edges``),
     built in time linear in the window and memory linear in the vehicles
-    and edges.
+    and edges.  The outcome is the trial's entry of each ``EnsembleResult``
+    array; its mean degree leaves out ``default_interior_margin`` vehicles
+    at each end.
 
     ``components`` decides connectivity exactly.  On the unit disc a link
     at some distance implies links at every shorter one, so the graph is
@@ -227,13 +228,14 @@ def run_trial(
         connected = bool(linked[0] == n - 1)
     mismatch = decider == "both" and graph.is_connected(edges) != connected
 
+    margin = default_interior_margin(params)
     return TrialOutcome(
         connected=connected,
-        degrees=degrees,
-        linked_pairs_by_gap=linked,
+        mismatch=mismatch,
+        linked_by_gap=linked,
         n_isolated_two_side=int(np.count_nonzero(degrees == 0)),
         n_isolated_forward=int(np.count_nonzero(forward_links[:-1] == 0)),
-        decider_mismatch=mismatch,
+        degree_mean_interior=float(degrees[margin : n - margin].mean()),
     )
 
 
@@ -257,20 +259,9 @@ def _trial_row(
     master_seed: int,
     big_m: int,
     decider: str,
-    margin: int,
-) -> tuple:
-    """Trial ``trial_index`` as one entry per ``EnsembleResult`` array, in field order."""
-    outcome = run_trial(params, model, trial_rng(master_seed, trial_index), big_m, decider)
-    degrees = outcome.degrees
-    interior = degrees[margin : degrees.size - margin] if margin > 0 else degrees
-    return (
-        outcome.connected,
-        outcome.decider_mismatch,
-        outcome.linked_pairs_by_gap,
-        outcome.n_isolated_two_side,
-        outcome.n_isolated_forward,
-        float(interior.mean()),
-    )
+) -> TrialOutcome:
+    """Trial ``trial_index`` of an ensemble, the row its ``EnsembleResult`` arrays stack."""
+    return run_trial(params, model, trial_rng(master_seed, trial_index), big_m, decider)
 
 
 @dataclass(frozen=True)
@@ -356,7 +347,6 @@ def run_ensemble(
         master_seed=master_seed,
         big_m=big_m,
         decider=decider,
-        margin=default_interior_margin(params),
     )
     with nullcontext(trial_map) if trial_map else _trial_map(workers, trials) as mapped:
         rows = list(mapped(row, range(trials)))

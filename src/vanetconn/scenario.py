@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import LinkBudget
+from .channel import LinkBudget, unit_disc_range
 
 __all__ = [
     "ScenarioParams",
@@ -42,8 +42,9 @@ class ScenarioParams:
     psi          SNR threshold, linear
 
     The vehicle count is derived as max(2, round(rho * road_length)); the
-    placement itself is never truncated to the segment.  ``budget`` is the
-    radio part (tx_power, noise_power, beta, ple), built and validated once.
+    placement itself is never truncated to the segment.  The unit-disc range
+    (see ``channel.unit_disc_range``) must be finite.  ``budget`` is the radio
+    part (tx_power, noise_power, beta, ple), built and validated once.
     """
 
     rho: float
@@ -62,6 +63,9 @@ class ScenarioParams:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         budget = LinkBudget(self.tx_power, self.noise_power, self.beta, self.ple)
+        if not math.isfinite(unit_disc_range(budget, self.psi)):
+            raise ValueError("unit-disc range (beta * tx_power / (noise_power * psi))^(1/ple) "
+                             "overflows a float")
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "ple", budget.ple)
         object.__setattr__(self, "n_vehicles", max(2, round(self.rho * self.road_length)))
@@ -210,7 +214,8 @@ def erlang_cdf(x: float, m: int, rho: float) -> float:
     """P(gap to the m-th neighbour <= x) = 1 - e^(-rho x) sum_{k<m} (rho x)^k / k!.
 
     m = 1 is the exponential CDF, -expm1(-rho x), exact down to the smallest
-    rho x; larger m subtract the sum from 1.
+    rho x; larger m subtract the sum from 1.  Where rho x overflows, every m
+    reads 1.
     """
     m = _require_neighbor_index(m)
     if not rho > 0:
@@ -227,6 +232,8 @@ def _erlang_cdfs(t: float) -> Iterator[float]:
     # x <= 0, or rho x below the smallest double
     if t <= 0:
         return itertools.repeat(0.0)
+    if t == math.inf:
+        return itertools.repeat(1.0)
     log_t = math.log(t)
     terms = (math.exp(k * log_t - t - math.lgamma(k + 1.0)) for k in itertools.count())
     heads = itertools.islice(itertools.accumulate(terms), 1, None)

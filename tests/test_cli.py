@@ -179,6 +179,17 @@ def test_bad_analytic_grid_writes_nothing(tmp_path, flag, value):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize("flag, value", [("--psi-db", "-3100"), ("--tx-dbm", "3080")])
+def test_infinite_unit_disc_range_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    # each input is a finite float, but (beta P_T / (P_N psi))^(1/alpha) overflows
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--rho", "0.019", flag, value, "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert "unit-disc range" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_analytic_closed_form_at_infinite_reach(tmp_path):
     # rho * lam overflows to inf; the quadrature rows read 1 there
     code, out = _run(tmp_path, "analytic", "--rho", "1e300", "--psi-db", "-300",

@@ -11,7 +11,6 @@ from vanetconn.graph import (
     count_components,
     count_partitions_eigen,
     edges_from_adjacency,
-    edges_from_snr,
     is_connected,
 )
 from vanetconn.scenario import sample_headways
@@ -42,29 +41,6 @@ def _random_adjacency(rng, n=None):
 
 def _random_graph(rng, n=None):
     return edges_from_adjacency(_random_adjacency(rng, n))
-
-
-def test_threshold_builds_expected_graphs():
-    # pairs (0,1), (0,2), (1,2) of three vehicles
-    snr = np.array([50.0, 1.0, 2.0])
-    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
-    g = edges_from_snr(snr, 10.0, i, j, n=3)
-    assert g.degrees.tolist() == [1, 1, 0]
-    assert np.all(g.laplacian.sum(axis=1) == 0)
-    full = edges_from_snr(snr, 0.5, i, j, n=3)
-    assert full.degrees.tolist() == [2, 2, 2]
-    assert list(zip(full.i.tolist(), full.j.tolist())) == [(0, 1), (0, 2), (1, 2)]
-    empty = edges_from_snr(snr, 100.0, i, j, n=3)
-    assert np.all(empty.laplacian == 0)
-    # a window without pair (0, 2) lists only the pairs it holds
-    window = edges_from_snr(snr[[0, 2]], 0.5, i[[0, 2]], j[[0, 2]], n=3)
-    assert list(zip(window.i.tolist(), window.j.tolist())) == [(0, 1), (1, 2)]
-
-
-def test_threshold_is_inclusive():
-    snr = np.array([10.0])
-    g = edges_from_snr(snr, 10.0, np.array([0]), np.array([1]), n=2)
-    assert g.degrees.tolist() == [1, 1]
 
 
 def test_edge_list_matches_dense_matrices():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import os
 import tracemalloc
 from unittest import mock
@@ -19,10 +20,22 @@ from vanetconn.montecarlo import (
     trial_rng,
     wilson_interval,
 )
-from vanetconn.scenario import sample_headways
+from vanetconn.scenario import ScenarioParams, sample_headways
 
 ARRAYS = ("connected", "mismatch", "linked_by_gap", "n_isolated_two_side",
           "n_isolated_forward", "degree_mean_interior")
+
+
+def _trial_edges(params, model, rng):
+    """Edge list of the trial that ``run_trial`` runs on the stream ``rng``."""
+    return montecarlo._trial_edges(sample_headways(params, rng), params, model, rng)
+
+
+def test_trial_outcome_is_one_row_of_the_ensemble_arrays():
+    # run_ensemble stacks the outcomes field by field into these arrays
+    fields = [field.name for field in dataclasses.fields(montecarlo.EnsembleResult)]
+    assert montecarlo.TrialOutcome._fields == ARRAYS
+    assert fields == ["params", "model", "trials", "master_seed", "big_m", "decider", *ARRAYS]
 
 
 def test_trial_with_vanishing_threshold_is_complete(make_params):
@@ -30,10 +43,24 @@ def test_trial_with_vanishing_threshold_is_complete(make_params):
     outcome = run_trial(params, UNIT_DISC, trial_rng(1, 0), big_m=3)
     n = params.n_vehicles
     assert outcome.connected
-    assert outcome.degrees.tolist() == [n - 1] * n
+    assert _trial_edges(params, UNIT_DISC, trial_rng(1, 0)).degrees.tolist() == [n - 1] * n
+    assert outcome.degree_mean_interior == n - 1
     assert outcome.n_isolated_two_side == 0
     assert outcome.n_isolated_forward == 0
-    assert outcome.linked_pairs_by_gap.tolist() == [n - 1, n - 2, n - 3]
+    assert outcome.linked_by_gap.tolist() == [n - 1, n - 2, n - 3]
+
+
+def test_threshold_is_inclusive():
+    # the SNR 10 * 10 / 1 at 10 m under path-loss exponent 2 is exactly psi = 1
+    params = ScenarioParams(rho=0.01, road_length=100.0, tx_power=10.0, noise_power=1.0,
+                            beta=10.0, ple=2, psi=1.0)
+
+    def edges(headway):
+        return montecarlo._trial_edges(np.array([headway]), params, UNIT_DISC, trial_rng(0, 0))
+
+    at_range = edges(10.0)
+    assert (at_range.i.tolist(), at_range.j.tolist()) == ([0], [1])
+    assert edges(np.nextafter(10.0, np.inf)).i.size == 0
 
 
 def test_trial_sparse_road_is_disconnected(make_params):
@@ -48,9 +75,8 @@ def test_trial_deterministic_for_fixed_stream(make_params):
     params = make_params(rho=0.01)
     a = run_trial(params, RAYLEIGH, trial_rng(7, 3), big_m=5)
     b = run_trial(params, RAYLEIGH, trial_rng(7, 3), big_m=5)
-    assert a.connected == b.connected
-    assert np.array_equal(a.degrees, b.degrees)
-    assert np.array_equal(a.linked_pairs_by_gap, b.linked_pairs_by_gap)
+    for name, value in a._asdict().items():
+        assert np.array_equal(getattr(b, name), value), name
 
 
 def test_fading_edges_can_jump_over_an_isolated_vehicle(make_params):
@@ -58,15 +84,14 @@ def test_fading_edges_can_jump_over_an_isolated_vehicle(make_params):
     # every cut between successive vehicles is crossed by some edge
     params = make_params(rho=0.005, psi_db=5.0)
     n = params.n_vehicles
-    rng = trial_rng(3, 188)
-    edges = montecarlo._trial_edges(sample_headways(params, rng), params, RAYLEIGH, rng)
+    edges = _trial_edges(params, RAYLEIGH, trial_rng(3, 188))
+    assert edges.degrees[3] == 0
     crossings = np.cumsum(np.bincount(edges.i, minlength=n) - np.bincount(edges.j, minlength=n))
     assert np.all(crossings[:-1] > 0)
 
     outcome = run_trial(params, RAYLEIGH, trial_rng(3, 188), decider="both")
-    assert outcome.degrees[3] == 0
     assert not outcome.connected
-    assert outcome.decider_mismatch is False
+    assert outcome.mismatch is False
 
 
 def _full_triangle_edges(headways, params, model, rng):
@@ -116,8 +141,9 @@ def test_trial_does_not_depend_on_the_block_size(monkeypatch, make_params, block
     def trial(model, decider):
         rng = trial_rng(5, 2)
         outcome = run_trial(params, model, rng, big_m=4, decider=decider)
+        edges = _trial_edges(params, model, trial_rng(5, 2))
         # a dropped advance after the last row would move the next draw
-        return vars(outcome), rng.random()
+        return {**outcome._asdict(), "i": edges.i, "j": edges.j}, rng.random()
 
     cases = [(model, decider) for model in MODELS for decider in ("components", "both")]
     expected = [trial(*case) for case in cases]
@@ -134,15 +160,18 @@ def test_trial_matches_the_full_triangle(make_params):
     for psi_db in (-10.0, 5.0, 25.0):
         params = make_params(rho=0.02, road_length=6_000.0, psi_db=psi_db)
         n = params.n_vehicles
+        margin = montecarlo.default_interior_margin(params)
+        assert margin > 0
         for model in MODELS:
             for t in range(3):
                 rng = trial_rng(13, t)
                 i, j = _full_triangle_edges(sample_headways(params, rng), params, model, rng)
+                edges = _trial_edges(params, model, trial_rng(13, t))
+                assert np.array_equal(edges.i, i) and np.array_equal(edges.j, j)
                 outcome = run_trial(params, model, trial_rng(13, t), big_m=n - 1)
                 degrees = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-                assert np.array_equal(outcome.degrees, degrees)
-                assert np.array_equal(outcome.linked_pairs_by_gap,
-                                      np.bincount(j - i, minlength=n)[1:])
+                assert outcome.degree_mean_interior == degrees[margin : n - margin].mean()
+                assert np.array_equal(outcome.linked_by_gap, np.bincount(j - i, minlength=n)[1:])
 
 
 def test_trial_memory_is_linear_in_vehicles(make_params):
@@ -151,11 +180,10 @@ def test_trial_memory_is_linear_in_vehicles(make_params):
     assert params.n_vehicles == 20_000
     tracemalloc.start()
     try:
-        outcome = run_trial(params, RAYLEIGH, trial_rng(1, 0))
+        run_trial(params, RAYLEIGH, trial_rng(1, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert outcome.degrees.size == 20_000
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -168,7 +196,7 @@ def test_trial_memory_does_not_grow_with_big_m(make_params):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert outcome.linked_pairs_by_gap.shape == (params.n_vehicles - 1,)
+    assert outcome.linked_by_gap.shape == (params.n_vehicles - 1,)
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -314,8 +342,6 @@ def test_per_trial_arrays_do_not_depend_on_workers(make_params, trials, model, s
 
 def test_ensemble_arrays_are_the_trials(make_params):
     params = make_params(rho=0.012)
-    margin = montecarlo.default_interior_margin(params)
-    assert margin > 0
     for model in MODELS:
         result = run_ensemble(params, model, trials=6, master_seed=19, big_m=3, decider="both")
         assert result.linked_by_gap.shape == (6, 3)
@@ -324,13 +350,8 @@ def test_ensemble_arrays_are_the_trials(make_params):
             assert column.shape[0] == 6 and column.flags.c_contiguous, name
         for t in range(6):
             outcome = run_trial(params, model, trial_rng(19, t), big_m=3, decider="both")
-            degrees = outcome.degrees
-            assert result.connected[t] == outcome.connected
-            assert result.mismatch[t] == outcome.decider_mismatch
-            assert np.array_equal(result.linked_by_gap[t], outcome.linked_pairs_by_gap)
-            assert result.n_isolated_two_side[t] == outcome.n_isolated_two_side
-            assert result.n_isolated_forward[t] == outcome.n_isolated_forward
-            assert result.degree_mean_interior[t] == degrees[margin : degrees.size - margin].mean()
+            for name, value in outcome._asdict().items():
+                assert np.array_equal(getattr(result, name)[t], value), (model, t, name)
 
 
 @settings(max_examples=40, deadline=None,
@@ -346,7 +367,7 @@ def test_exact_and_spectral_deciders_agree(make_params, rho, psi_db, ple, model,
     # up to 200 vehicles; windows from the whole road down to a few vehicles
     params = make_params(rho=rho, road_length=4_000.0, psi_db=psi_db, ple=ple)
     outcome = run_trial(params, model, trial_rng(seed, 0), decider="both")
-    assert outcome.decider_mismatch is False
+    assert outcome.mismatch is False
 
 
 def test_decider_paths_agree(make_params):

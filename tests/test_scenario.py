@@ -198,6 +198,8 @@ def test_erlang_cdf_matches_pdf_quadrature():
     assert erlang_cdf(1.0, 1, 1e-17) == -math.expm1(-1e-17)
     # rho x below the smallest double is a zero probability, not a log(0)
     assert erlang_cdf(1e-300, 2, 1e-300) == 0.0
+    # rho x above the largest double is a sure one, not a NaN head read as 0
+    assert [erlang_cdf(1e308, m, 10.0) for m in range(1, 61)] == [1.0] * 60
 
 
 def _erlang_cdf_per_m(t, m):
@@ -205,6 +207,8 @@ def _erlang_cdf_per_m(t, m):
     # read one running sum
     if t <= 0:
         return 0.0
+    if t == math.inf:
+        return 1.0
     if m == 1:
         return -math.expm1(-t)
     log_t = math.log(t)
