@@ -67,8 +67,9 @@ def unit_disc_range(budget: LinkBudget, psi: float) -> float:
 
 
 # Generator.random returns multiples of 2^-53 in [0, 1), so 1 - u >= 2^-53 and
-# the inverse-CDF fading factor -ln(1 - u) never exceeds 53 ln 2 = 36.737.
-_FADING_FACTOR_MAX = 37.0
+# an inverse-CDF unit-mean exponential draw -ln(1 - u), a fading factor or a
+# headway times rho, never exceeds 53 ln 2 = 36.737.
+_EXP_DRAW_MAX = 37.0
 # far above the rounding of the reach and of the pair distances
 _REACH_MARGIN = 1.0 + 1e-6
 
@@ -77,14 +78,14 @@ def link_reach(budget: LinkBudget, psi: float, fading: bool) -> float:
     """Distance beyond which no pair can link under the channel model.
 
     The unit disc links up to ``unit_disc_range``.  A fading draw is at
-    most 37 times its mean (see ``_FADING_FACTOR_MAX``), so a pair whose
+    most 37 times its mean (see ``_EXP_DRAW_MAX``), so a pair whose
     deterministic SNR times 37 is below psi never links; that happens past
     ``unit_disc_range * 37^(1/ple)``.  Both reaches carry ``_REACH_MARGIN``,
     so leaving out the pairs beyond them is exact.
     """
     reach = unit_disc_range(budget, psi)
     if fading:
-        reach *= _FADING_FACTOR_MAX ** (1.0 / budget.ple)
+        reach *= _EXP_DRAW_MAX ** (1.0 / budget.ple)
     return reach * _REACH_MARGIN
 
 

@@ -170,9 +170,8 @@ def _trial_edges(
     """
     fading = model == RAYLEIGH
     reach = channel.link_reach(params.budget, params.psi, fading)
-    placement = scenario.placement_from_headways(headways, reach)
     i, j = [], []
-    for block in placement.blocks():
+    for block in scenario.pair_blocks(headways, reach):
         if fading:
             snr = channel.snr_rayleigh(
                 block.distances, block.ahead, block.row_lengths, params.budget, rng
@@ -182,7 +181,7 @@ def _trial_edges(
         linked = snr >= params.psi
         i.append(block.i[linked])
         j.append(block.j[linked])
-    return graph.EdgeList(placement.n_vehicles, np.concatenate(i), np.concatenate(j))
+    return graph.EdgeList(headways.size + 1, np.concatenate(i), np.concatenate(j))
 
 
 def run_trial(
@@ -248,7 +247,7 @@ def default_interior_margin(params: ScenarioParams) -> int:
     rho * lam neighbours.  Clamped so at least ten vehicles remain.
     """
     reach = params.rho * channel.unit_disc_range(params.budget, params.psi)
-    margin = math.ceil(8.0 * reach) + 12
+    margin = math.ceil(min(8.0 * reach, params.n_vehicles)) + 12
     return max(0, min(margin, (params.n_vehicles - 10) // 2))
 
 

@@ -16,14 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import LinkBudget, unit_disc_range
+from .channel import _EXP_DRAW_MAX, LinkBudget, unit_disc_range
 
 __all__ = [
     "ScenarioParams",
     "PairBlock",
-    "Placement",
     "sample_headways",
-    "placement_from_headways",
+    "pair_blocks",
     "erlang_pdf",
     "erlang_cdf",
 ]
@@ -43,8 +42,9 @@ class ScenarioParams:
 
     The vehicle count is derived as max(2, round(rho * road_length)); the
     placement itself is never truncated to the segment.  The unit-disc range
-    (see ``channel.unit_disc_range``) must be finite.  ``budget`` is the radio
-    part (tx_power, noise_power, beta, ple), built and validated once.
+    (see ``channel.unit_disc_range``) and every position a trial can draw
+    must be finite.  ``budget`` is the radio part (tx_power, noise_power,
+    beta, ple), built and validated once.
     """
 
     rho: float
@@ -69,6 +69,10 @@ class ScenarioParams:
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "ple", budget.ple)
         object.__setattr__(self, "n_vehicles", max(2, round(self.rho * self.road_length)))
+        # a headway is at most _EXP_DRAW_MAX / rho, so no position can overflow
+        if not math.isfinite((self.n_vehicles - 1) / self.rho * _EXP_DRAW_MAX):
+            raise ValueError(f"rho {self.rho!r} is too small: {self.n_vehicles} vehicles "
+                             "could be placed past the largest float")
 
 
 # pairs per block of a pair window; a block holds whole rows, however long
@@ -90,61 +94,6 @@ class PairBlock(NamedTuple):
     row_lengths: np.ndarray
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One sampled snapshot: spacings, coordinates and the pairs within reach.
-
-    The pair window lists every pair (i, j), i < j, with
-    ``positions[j] <= positions[i] + reach``, in row-major upper-triangle
-    order: row i holds its first ``ahead[i]`` successors.  ``blocks`` yields
-    it a few thousand pairs at a time, whole rows each; it is the only pair
-    layout, shared by the channel draw and the edge list.
-    """
-
-    headways: np.ndarray
-    positions: np.ndarray
-    ahead: np.ndarray
-
-    @property
-    def n_vehicles(self) -> int:
-        return self.positions.shape[0]
-
-    def _rows(self, start: int, stop: int) -> PairBlock:
-        """Pairs of window rows ``start`` to ``stop - 1``."""
-        ahead = self.ahead[start:stop]
-        rows = np.arange(start, stop)
-        i = np.repeat(rows, ahead)
-        # j runs i + 1, i + 2, ... within each row
-        row_start = np.cumsum(ahead) - ahead
-        j = np.arange(i.size) + np.repeat(rows + 1 - row_start, ahead)
-        distances = self.positions[j] - self.positions[i]
-        return PairBlock(i, j, distances, ahead, self.ahead.size - rows)
-
-    def blocks(self) -> Iterator[PairBlock]:
-        """The window in row order, in blocks of at most ``_BLOCK_PAIRS`` pairs.
-
-        A row longer than that is a block of its own.  Every row, including
-        those without pairs, lies in exactly one block.
-        """
-        ends = np.cumsum(self.ahead)
-        start = 0
-        while start < self.ahead.size:
-            limit = ends[start] - self.ahead[start] + _BLOCK_PAIRS
-            stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-            yield self._rows(start, stop)
-            start = stop
-
-    @property
-    def distances(self) -> np.ndarray:
-        """``positions[j] - positions[i]`` over the whole window, built on every read.
-
-        Trials read the window only through ``blocks``.  This stays because
-        ``bench/spans.py`` sizes a placement by its ``headways``,
-        ``positions`` and ``distances``.
-        """
-        return self._rows(0, self.ahead.size).distances
-
-
 def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndarray:
     """Draw the N-1 intervehicle spacings, i.i.d. exponential with rate rho.
 
@@ -156,14 +105,17 @@ def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndar
     return -np.log(u) / params.rho
 
 
-def placement_from_headways(headways: np.ndarray, reach: float) -> Placement:
-    """Build positions by prefix sums and the window of pairs within reach.
+def pair_blocks(headways: np.ndarray, reach: float) -> Iterator[PairBlock]:
+    """The pairs within ``reach`` of the vehicles the headways place, in blocks.
 
-    Positions are sorted, so row i of the window ends at the first vehicle
-    past ``positions[i] + reach``; one ``searchsorted`` finds every row's
-    end.  The pairs themselves are built only when read, so this takes time
-    and memory linear in the vehicles.  ``reach = inf`` lists the whole
-    upper triangle.
+    Positions are prefix sums, so sorted: row i of the window ends at the
+    first vehicle past ``positions[i] + reach``, and one ``searchsorted``
+    finds every row's end before this returns, so bad input raises here.
+    The window lists every pair (i, j), i < j, with ``positions[j] <=
+    positions[i] + reach`` in row-major upper-triangle order, row i its first
+    ``ahead[i]`` successors; ``reach = inf`` lists the whole triangle.  The
+    pairs are built a block at a time as they are read: this is the only
+    pair layout, shared by the channel draw and the edge list.
     """
     headways = np.asarray(headways, dtype=float)
     if headways.ndim != 1 or headways.size < 1:
@@ -175,10 +127,28 @@ def placement_from_headways(headways: np.ndarray, reach: float) -> Placement:
     positions = np.concatenate(([0.0], np.cumsum(headways)))
     rows = np.arange(headways.size)
     ahead = np.searchsorted(positions, positions[:-1] + reach, side="right") - rows - 1
-    headways = headways.copy()
-    for arr in (headways, positions, ahead):
-        arr.flags.writeable = False
-    return Placement(headways, positions, ahead)
+    return _blocks(positions, ahead)
+
+
+def _blocks(positions: np.ndarray, ahead: np.ndarray) -> Iterator[PairBlock]:
+    """The window in row order, in blocks of at most ``_BLOCK_PAIRS`` pairs.
+
+    A row longer than that is a block of its own.  Every row, including
+    those without pairs, lies in exactly one block.
+    """
+    ends = np.cumsum(ahead)
+    start = 0
+    while start < ahead.size:
+        limit = ends[start] - ahead[start] + _BLOCK_PAIRS
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        rows = np.arange(start, stop)
+        block_ahead = ahead[start:stop]
+        i = np.repeat(rows, block_ahead)
+        # j runs i + 1, i + 2, ... within each row
+        row_start = np.cumsum(block_ahead) - block_ahead
+        j = np.arange(i.size) + np.repeat(rows + 1 - row_start, block_ahead)
+        yield PairBlock(i, j, positions[j] - positions[i], block_ahead, ahead.size - rows)
+        start = stop
 
 
 def _require_neighbor_index(m) -> int:

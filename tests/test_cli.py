@@ -190,6 +190,27 @@ def test_infinite_unit_disc_range_is_a_usage_error(tmp_path, capsys, command, fl
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_density_too_small_for_its_road_is_a_usage_error(tmp_path, capsys, command):
+    # a headway can reach 37 / rho, which overflows a float at rho = 1e-309
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--rho", "1e-309", "--psi-db", "15", "--out", str(tmp_path / "x.csv")])
+    assert excinfo.value.code == 2
+    assert "argument --rho: rho 1e-309" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_interior_margin_at_an_overflowing_range_in_vehicles(tmp_path):
+    # rho times the 1.4e18 m unit-disc range overflows; the margin is
+    # clamped to the two vehicles' (N - 10) // 2 all the same
+    code, out = _run(tmp_path, "simulate", "--rho", "1e300", "--length-m", "1e-300",
+                     "--psi-db", "-300", "--trials", "1")
+    assert code == 0
+    rows = _read(out)
+    assert len(rows) == 10 and {r["error"] for r in rows} == {""}
+    assert {r["n_vehicles"] for r in rows} == {"2"}
+
+
 def test_analytic_closed_form_at_infinite_reach(tmp_path):
     # rho * lam overflows to inf; the quadrature rows read 1 there
     code, out = _run(tmp_path, "analytic", "--rho", "1e300", "--psi-db", "-300",

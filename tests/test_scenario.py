@@ -10,7 +10,7 @@ from vanetconn.scenario import (
     PairBlock,
     erlang_cdf,
     erlang_pdf,
-    placement_from_headways,
+    pair_blocks,
     sample_headways,
 )
 
@@ -62,75 +62,77 @@ def test_headways_deterministic_for_fixed_seed(make_params):
     assert np.all(a > 0)
 
 
-def _pairs(placement):
-    """The window's (i, j) pairs, concatenated over its blocks."""
-    blocks = list(placement.blocks())
-    return np.concatenate([b.i for b in blocks]), np.concatenate([b.j for b in blocks])
+def _window(headways, reach):
+    """The window as one block: its pair blocks concatenated, rows in order."""
+    return PairBlock(*map(np.concatenate, zip(*pair_blocks(headways, reach))))
+
+
+def _positions(headways):
+    return np.concatenate(([0.0], np.cumsum(headways)))
 
 
 def test_placement_prefix_sums():
-    p = placement_from_headways([10.0, 20.0], math.inf)
-    assert np.array_equal(p.positions, [0.0, 10.0, 30.0])
+    p = _window([10.0, 20.0], math.inf)
     # pairs (0, 1), (0, 2), (1, 2)
     assert p.distances.tolist() == [10.0, 30.0, 20.0]
-    i, j = _pairs(p)
-    assert i.tolist() == [0, 0, 1] and j.tolist() == [1, 2, 2]
+    assert p.i.tolist() == [0, 0, 1] and p.j.tolist() == [1, 2, 2]
+    assert p.ahead.tolist() == [2, 1] and p.row_lengths.tolist() == [2, 1]
     # a 25 m reach drops the 30 m pair (0, 2)
-    q = placement_from_headways([10.0, 20.0], 25.0)
+    q = _window([10.0, 20.0], 25.0)
     assert q.ahead.tolist() == [1, 1]
     assert q.distances.tolist() == [10.0, 20.0]
 
 
 def test_placement_rejects_bad_input():
+    # the checks run at the call, before any block is asked for
     with pytest.raises(ValueError):
-        placement_from_headways([], math.inf)
+        pair_blocks([], math.inf)
     with pytest.raises(ValueError):
-        placement_from_headways([1.0, -2.0], math.inf)
+        pair_blocks([1.0, -2.0], math.inf)
+    with pytest.raises(ValueError):
+        pair_blocks([1.0, math.inf], math.inf)
     for reach in (-1.0, math.nan):
         with pytest.raises(ValueError):
-            placement_from_headways([1.0, 2.0], reach)
+            pair_blocks([1.0, 2.0], reach)
 
 
 def test_placement_symmetry_and_invariants():
-    p = placement_from_headways([5.0, 5.0, 5.0], math.inf)
+    p = _window([5.0, 5.0, 5.0], math.inf)
     assert p.distances.tolist() == [5.0, 10.0, 15.0, 5.0, 10.0, 5.0]
-    assert np.array_equal(np.diff(p.positions), p.headways)
     # at infinite reach the pair vector is the upper triangle of the
     # symmetric distance matrix
     rng = np.random.default_rng(7)
-    q = placement_from_headways(rng.exponential(50.0, size=30), math.inf)
-    dense = np.abs(q.positions[:, None] - q.positions[None, :])
-    assert np.array_equal(q.distances, dense[np.triu_indices(q.n_vehicles, 1)])
+    headways = rng.exponential(50.0, size=30)
+    positions = _positions(headways)
+    n = positions.size
+    dense = np.abs(positions[:, None] - positions[None, :])
+    assert np.array_equal(_window(headways, math.inf).distances, dense[np.triu_indices(n, 1)])
     # distance grows with neighbour order on a line
-    for i in range(q.n_vehicles - 2):
+    for i in range(n - 2):
         row = dense[i, i + 1 :]
         assert np.all(np.diff(row) > 0)
     # a finite reach keeps exactly the triangle pairs within it, in order,
     # coincident vehicles included
-    headways = q.headways.copy()
     headways[[4, 5, 17]] = 0.0
-    q = placement_from_headways(headways, math.inf)
+    positions = _positions(headways)
+    rows, cols = np.triu_indices(n, 1)
     for reach in (0.0, 40.0, 120.0, 1e3):
-        w = placement_from_headways(headways, reach)
-        rows, cols = np.triu_indices(q.n_vehicles, 1)
-        keep = q.positions[cols] <= q.positions[rows] + reach
-        i, j = _pairs(w)
-        assert np.array_equal(i, rows[keep]) and np.array_equal(j, cols[keep])
-        assert np.array_equal(w.distances, q.distances[keep])
-        assert np.array_equal(w.ahead, np.bincount(i, minlength=q.n_vehicles - 1))
+        w = _window(headways, reach)
+        keep = positions[cols] <= positions[rows] + reach
+        assert np.array_equal(w.i, rows[keep]) and np.array_equal(w.j, cols[keep])
+        assert np.array_equal(w.distances, (positions[cols] - positions[rows])[keep])
+        assert np.array_equal(w.ahead, np.bincount(w.i, minlength=n - 1))
 
 
 def test_infinite_reach_window_is_the_upper_triangle():
     for n in (2, 3, 7, 40):
-        p = placement_from_headways(np.ones(n - 1), math.inf)
+        p = _window(np.ones(n - 1), math.inf)
         rows, cols = np.triu_indices(n, 1)
-        i, j = _pairs(p)
-        assert np.array_equal(i, rows) and np.array_equal(j, cols)
+        assert np.array_equal(p.i, rows) and np.array_equal(p.j, cols)
         assert p.ahead.tolist() == list(range(n - 1, 0, -1))
     # a reach shorter than every headway leaves no pair at all
-    p = placement_from_headways(np.ones(4), 0.5)
-    i, j = _pairs(p)
-    assert i.size == 0 and j.size == 0 and p.distances.size == 0
+    p = _window(np.ones(4), 0.5)
+    assert p.i.size == 0 and p.j.size == 0 and p.distances.size == 0
     assert p.ahead.tolist() == [0, 0, 0, 0]
 
 
@@ -138,25 +140,18 @@ def test_infinite_reach_window_is_the_upper_triangle():
 def test_blocks_tile_the_window_in_whole_rows(monkeypatch, block_pairs):
     # a coincident pair, a row of three pairs and two rows without any at the end
     headways = [1.0, 1.0, 0.0, 5.0, 1.0, 1.0, 9.0, 9.0]
-    p = placement_from_headways(headways, 2.5)
+    positions = _positions(headways)
     monkeypatch.setattr(scenario, "_BLOCK_PAIRS", block_pairs)
-    blocks = list(p.blocks())
+    blocks = list(pair_blocks(headways, 2.5))
     assert all(b.i.size <= block_pairs or b.ahead.size == 1 for b in blocks)
     tiled = PairBlock(*map(np.concatenate, zip(*blocks)))
-    assert np.array_equal(tiled.ahead, p.ahead) and tiled.ahead.tolist()[-2:] == [0, 0]
+    assert tiled.ahead.tolist() == [3, 2, 1, 0, 2, 1, 0, 0]
     assert np.array_equal(tiled.row_lengths, np.arange(len(headways), 0, -1))
     # the triangle pairs within reach, in order; distances as one row range
-    rows, cols = np.triu_indices(p.n_vehicles, 1)
-    keep = p.positions[cols] <= p.positions[rows] + 2.5
+    rows, cols = np.triu_indices(positions.size, 1)
+    keep = positions[cols] <= positions[rows] + 2.5
     assert np.array_equal(tiled.i, rows[keep]) and np.array_equal(tiled.j, cols[keep])
-    assert np.array_equal(tiled.distances, p.distances)
-
-
-def test_placement_arrays_are_locked():
-    p = placement_from_headways([1.0, 2.0], math.inf)
-    for arr in (p.headways, p.positions, p.ahead):
-        with pytest.raises(ValueError):
-            arr[0] = 99
+    assert np.array_equal(tiled.distances, positions[tiled.j] - positions[tiled.i])
 
 
 def test_erlang_pdf_first_neighbour_is_exponential():
