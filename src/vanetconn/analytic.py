@@ -128,12 +128,16 @@ def _exponent_links(points: list[ScenarioParams], ms: range, alpha: int) -> list
     c = np.array([_snr_decay_coefficient(params) for params in points])
     lam = np.array([communication_range(params) for params in points])
     reach = np.array([(50.0 + 2.0 * m) ** (1.0 / alpha) for m in ms])
+    # the gap scale overflows on a near-empty road, where the finite
+    # channel scale is the smaller cutoff
+    with np.errstate(over="ignore"):
+        gap = (50.0 + 2.0 * m_col) / rho[:, None]
     # one row per distinct (m, cutoff), keyed as m + i cutoff: np.unique
     # sorts complex keys as it sorts the pairs, about ten times faster than
     # rows with axis=0; lane i is (point i // len(ms), m)
     keys, rows = np.unique(np.column_stack([
         np.tile(m_col, len(points)),
-        np.minimum((50.0 + 2.0 * m_col) / rho[:, None], lam[:, None] * reach).ravel(),
+        np.minimum(gap, lam[:, None] * reach).ravel(),
     ]).view(complex).ravel(), return_inverse=True)
     power = keys.real - 1.0
     log_norm = (m_col * np.array([math.log(params.rho) for params in points])[:, None]

@@ -1,7 +1,7 @@
 """Per-link SNR under the unit-disc and Rayleigh-fading channel models.
 
 All math in this module runs on linear quantities.  dB and dBm appear only in
-the two to-linear helpers the CLI calls at its boundary; nothing converts back.
+the to-linear helper the CLI calls at its boundary; nothing converts back.
 """
 
 from __future__ import annotations
@@ -112,21 +112,19 @@ def snr_unit_disc(distances: np.ndarray, budget: LinkBudget) -> np.ndarray:
 
 
 def pair_uniforms(
-    ahead: np.ndarray, row_lengths: np.ndarray, rng: np.random.Generator
+    ahead: np.ndarray, skipped: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniforms of the pairs in consecutive window rows, at their stream places.
 
     The stream holds one uniform per pair (i, j), i < j, of all vehicles in
-    row-major upper-triangle order; row r has ``row_lengths[r]`` pairs in it
-    and uses its first ``ahead[r]``.  Each run of used pairs is one
-    ``rng.random`` call and the pairs skipped at the end of a row are
+    row-major upper-triangle order; row r uses its first ``ahead[r]`` pairs
+    and skips the next ``skipped[r]``.  Each run of used pairs is one
+    ``rng.random`` call and the skipped pairs at the end of a row are
     ``advance``d over, so rows fed in order, all of them or a block at a
     time, give ``rng.random(n * (n - 1) // 2)`` at the used pairs and leave
     the generator where that call would.  This needs a bit generator whose
     ``advance`` counts doubles, as PCG64 (the default) does.
     """
-    ahead = np.asarray(ahead)
-    skipped = row_lengths - ahead
     ends = np.cumsum(ahead)
     u = np.empty(ends[-1])
     rows = np.flatnonzero(skipped)
@@ -144,7 +142,7 @@ def pair_uniforms(
 def snr_rayleigh(
     distances: np.ndarray,
     ahead: np.ndarray,
-    row_lengths: np.ndarray,
+    skipped: np.ndarray,
     budget: LinkBudget,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -157,7 +155,7 @@ def snr_rayleigh(
     ``-means * log(1 - u)`` while holding only two pair-sized arrays.
     """
     snr = snr_unit_disc(distances, budget)
-    u = pair_uniforms(ahead, row_lengths, rng)
+    u = pair_uniforms(ahead, skipped, rng)
     np.subtract(1.0, u, out=u)  # maps [0, 1) onto (0, 1]
     np.log(u, out=u)
     with np.errstate(invalid="ignore"):
@@ -168,9 +166,9 @@ def snr_rayleigh(
     return snr
 
 
-def dbm_to_mw(x: float) -> float:
-    return 10.0 ** (x / 10.0)
-
-
 def db_to_linear(x: float) -> float:
     return 10.0 ** (x / 10.0)
+
+
+# a power in dBm is a ratio in dB to 1 mW
+dbm_to_mw = db_to_linear

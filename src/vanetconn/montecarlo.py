@@ -174,7 +174,7 @@ def _trial_edges(
     for block in scenario.pair_blocks(headways, reach):
         if fading:
             snr = channel.snr_rayleigh(
-                block.distances, block.ahead, block.row_lengths, params.budget, rng
+                block.distances, block.ahead, block.skipped, params.budget, rng
             )
         else:
             snr = channel.snr_unit_disc(block.distances, params.budget)

@@ -82,17 +82,6 @@ _QUAD_LANES = 12
 
 
 @functools.cache
-def _panel_edges(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right ends of ``panels`` equal panels on [0, 1].
-
-    Read-only, since every integration with that panel count shares them.
-    """
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    edges.flags.writeable = False
-    return edges[:-1], edges[1:]
-
-
-@functools.cache
 def _tiled_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The abscissa columns of ``panels`` panels: nodes, weights, panel edges and widths.
 
@@ -102,7 +91,8 @@ def _tiled_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     rule, and the widths say how many columns each such panel has.
     Read-only, since every integration with that panel count shares them.
     """
-    left, right = _panel_edges(panels)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    left, right = edges[:-1], edges[1:]
     rule = (np.concatenate([np.tile(_FINE_NODES, panels), np.tile(_CHECK_NODES, panels)]),
             np.concatenate([np.tile(_FINE_WEIGHTS, panels), np.tile(_CHECK_WEIGHTS, panels)]),
             np.concatenate([left, left, right, right]).reshape(2, -1),

@@ -80,18 +80,19 @@ _BLOCK_PAIRS = 8192
 
 
 class PairBlock(NamedTuple):
-    """Consecutive rows of a pair window: their pairs and each row's lengths.
+    """Consecutive rows of a pair window: their pairs and each row's counts.
 
-    Row r of n vehicles has ``n - 1 - r`` pairs in the upper triangle
-    (``row_lengths``) and lists its first ``ahead`` of them, pairs (r, r + 1),
-    (r, r + 2), ...; ``i``, ``j`` and ``distances`` hold those pairs in order.
+    Row r of n vehicles has ``n - 1 - r`` pairs in the upper triangle.  It
+    lists its first ``ahead`` of them, pairs (r, r + 1), (r, r + 2), ...,
+    and ``skipped`` are the rest, past the window; ``i``, ``j`` and
+    ``distances`` hold the listed pairs in order.
     """
 
     i: np.ndarray
     j: np.ndarray
     distances: np.ndarray
     ahead: np.ndarray
-    row_lengths: np.ndarray
+    skipped: np.ndarray
 
 
 def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndarray:
@@ -147,7 +148,8 @@ def _blocks(positions: np.ndarray, ahead: np.ndarray) -> Iterator[PairBlock]:
         # j runs i + 1, i + 2, ... within each row
         row_start = np.cumsum(block_ahead) - block_ahead
         j = np.arange(i.size) + np.repeat(rows + 1 - row_start, block_ahead)
-        yield PairBlock(i, j, positions[j] - positions[i], block_ahead, ahead.size - rows)
+        yield PairBlock(i, j, positions[j] - positions[i], block_ahead,
+                        ahead.size - rows - block_ahead)
         start = stop
 
 

@@ -121,9 +121,9 @@ def test_rayleigh_matrix_reciprocity_and_seeding():
     # one draw per unordered pair, so each link is reciprocal by construction;
     # 15 distances are the whole pair triangle of 6 vehicles
     d = np.arange(1, 16) * 120.0
-    ahead = np.array([5, 4, 3, 2, 1])
-    a = snr_rayleigh(d, ahead, ahead, BUDGET, np.random.default_rng(3))
-    b = snr_rayleigh(d, ahead, ahead, BUDGET, np.random.default_rng(3))
+    ahead, none = np.array([5, 4, 3, 2, 1]), np.zeros(5, dtype=int)
+    a = snr_rayleigh(d, ahead, none, BUDGET, np.random.default_rng(3))
+    b = snr_rayleigh(d, ahead, none, BUDGET, np.random.default_rng(3))
     assert np.array_equal(a, b)
     assert a.shape == d.shape
     assert np.all(a > 0.0)
@@ -131,21 +131,22 @@ def test_rayleigh_matrix_reciprocity_and_seeding():
     u = 1.0 - np.random.default_rng(3).random(d.size)
     assert np.array_equal(a, -snr_unit_disc(d, BUDGET) * np.log(u))
     # a window of pairs (0, 1), (0, 2), (1, 2), (3, 4) keeps their stream places
-    w = snr_rayleigh(d[[0, 1, 5, 12]], np.array([2, 1, 0, 1, 0]), ahead, BUDGET,
-                     np.random.default_rng(3))
+    window = np.array([2, 1, 0, 1, 0])
+    skipped = ahead - window
+    w = snr_rayleigh(d[[0, 1, 5, 12]], window, skipped, BUDGET, np.random.default_rng(3))
     assert np.array_equal(w, a[[0, 1, 5, 12]])
     # so do rows 3 and 4 drawn after rows 0 to 2 have been
     rng = np.random.default_rng(3)
-    snr_rayleigh(d[[0, 1, 5]], np.array([2, 1, 0]), ahead[:3], BUDGET, rng)
-    assert np.array_equal(snr_rayleigh(d[[12]], np.array([1, 0]), ahead[3:], BUDGET, rng),
+    snr_rayleigh(d[[0, 1, 5]], window[:3], skipped[:3], BUDGET, rng)
+    assert np.array_equal(snr_rayleigh(d[[12]], window[3:], skipped[3:], BUDGET, rng),
                           a[[12]])
 
 
 def test_coincident_vehicles_always_link():
     d = np.array([0.0])
     assert snr_unit_disc(d, BUDGET)[0] == math.inf
-    one = np.array([1])
-    assert snr_rayleigh(d, one, one, BUDGET, np.random.default_rng(0))[0] == math.inf
+    one, none = np.array([1]), np.array([0])
+    assert snr_rayleigh(d, one, none, BUDGET, np.random.default_rng(0))[0] == math.inf
 
 
 def test_fading_factor_bound():
@@ -177,13 +178,16 @@ def test_pair_uniforms_keep_their_stream_places(n, seed):
     k = np.arange(rows.size) - np.repeat(np.cumsum(ahead) - ahead, ahead) + row_start[rows]
     ours, dense = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
     row_lengths = np.arange(n - 1, 0, -1)
+    skipped = row_lengths - ahead
     expected = dense.random(n * (n - 1) // 2)[k]
-    assert np.array_equal(pair_uniforms(ahead, row_lengths, ours), expected)
+    assert np.array_equal(pair_uniforms(ahead, skipped, ours), expected)
     # the generator ends where the full draw leaves it
     assert ours.random() == dense.random()
 
 
 def test_db_conversions():
+    # one formula: a power in dBm is a ratio in dB to 1 mW
+    assert dbm_to_mw is db_to_linear
     assert abs(dbm_to_mw(33.0) - 1995.262315) < 1e-6
     assert db_to_linear(0.0) == 1.0
     assert abs(db_to_linear(15.0) - 31.6227766) < 1e-7

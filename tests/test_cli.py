@@ -200,6 +200,18 @@ def test_density_too_small_for_its_road_is_a_usage_error(tmp_path, capsys, comma
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_near_empty_road_analytic_writes_no_warning():
+    # the gap-scale cutoff 50 / rho overflows at rho = 2.1e-307; the finite
+    # channel scale is the cutoff there, and nothing reaches stderr
+    proc = _fresh_python("-m", "vanetconn", "analytic", "--rho", "2.1e-307", "--psi-db", "15",
+                         "--big-m", "2", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True)
+    out, err = proc.communicate()
+    assert proc.returncode == 0
+    assert err == ""
+    assert len(out.splitlines()) > 1
+
+
 def test_interior_margin_at_an_overflowing_range_in_vehicles(tmp_path):
     # rho times the 1.4e18 m unit-disc range overflows; the margin is
     # clamped to the two vehicles' (N - 10) // 2 all the same

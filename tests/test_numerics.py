@@ -128,22 +128,20 @@ def test_link_integrals_certify_on_their_first_panels(monkeypatch, make_params):
 
 
 def test_cached_panel_edges_are_read_only():
-    # every integration with a panel count shares one pair of edge arrays,
-    # and one tiled rule: its nodes, weights and panels column by column
+    # every integration with a panel count shares one tiled rule: its
+    # nodes, weights, panel edges and panels column by column
     for panels in (16, 32):
-        left, right = numerics._panel_edges(panels)
-        assert numerics._panel_edges(panels)[0] is left
-        assert left.tolist() == np.linspace(0.0, 1.0, panels + 1)[:-1].tolist()
-        assert right.tolist() == np.linspace(0.0, 1.0, panels + 1)[1:].tolist()
         nodes, weights, rule_edges, columns = numerics._tiled_rule(panels)
-        assert numerics._tiled_rule(panels)[0] is nodes
+        assert numerics._tiled_rule(panels)[2] is rule_edges
+        left = np.linspace(0.0, 1.0, panels + 1)[:-1]
+        right = np.linspace(0.0, 1.0, panels + 1)[1:]
         assert weights.tolist() == (numerics._FINE_WEIGHTS.tolist() * panels
                                     + numerics._CHECK_WEIGHTS.tolist() * panels)
         assert nodes.tolist() == (numerics._FINE_NODES.tolist() * panels
                                   + numerics._CHECK_NODES.tolist() * panels)
         assert rule_edges.tolist() == [left.tolist() * 2, right.tolist() * 2]
         assert columns.tolist() == [40] * panels + [20] * panels
-        for edges in (left, right, nodes, weights, rule_edges, columns):
+        for edges in (nodes, weights, rule_edges, columns):
             assert not edges.flags.writeable
             with pytest.raises(ValueError):
                 edges[0] = 0.5

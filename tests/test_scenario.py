@@ -76,10 +76,10 @@ def test_placement_prefix_sums():
     # pairs (0, 1), (0, 2), (1, 2)
     assert p.distances.tolist() == [10.0, 30.0, 20.0]
     assert p.i.tolist() == [0, 0, 1] and p.j.tolist() == [1, 2, 2]
-    assert p.ahead.tolist() == [2, 1] and p.row_lengths.tolist() == [2, 1]
+    assert p.ahead.tolist() == [2, 1] and p.skipped.tolist() == [0, 0]
     # a 25 m reach drops the 30 m pair (0, 2)
     q = _window([10.0, 20.0], 25.0)
-    assert q.ahead.tolist() == [1, 1]
+    assert q.ahead.tolist() == [1, 1] and q.skipped.tolist() == [1, 0]
     assert q.distances.tolist() == [10.0, 20.0]
 
 
@@ -146,7 +146,9 @@ def test_blocks_tile_the_window_in_whole_rows(monkeypatch, block_pairs):
     assert all(b.i.size <= block_pairs or b.ahead.size == 1 for b in blocks)
     tiled = PairBlock(*map(np.concatenate, zip(*blocks)))
     assert tiled.ahead.tolist() == [3, 2, 1, 0, 2, 1, 0, 0]
-    assert np.array_equal(tiled.row_lengths, np.arange(len(headways), 0, -1))
+    # each row's listed and skipped pairs make up its n - 1 - r triangle pairs
+    assert tiled.skipped.tolist() == [5, 5, 5, 5, 2, 2, 2, 1]
+    assert np.array_equal(tiled.skipped + tiled.ahead, np.arange(len(headways), 0, -1))
     # the triangle pairs within reach, in order; distances as one row range
     rows, cols = np.triu_indices(positions.size, 1)
     keep = positions[cols] <= positions[rows] + 2.5
