@@ -104,16 +104,7 @@ def p_sl_rayleigh(params: ScenarioParams, m: int = 1) -> float:
 
 
 def _link_probabilities(points: list[ScenarioParams], ms: range) -> list[list[float]]:
-    """P(m), m in ``ms``, of every point, from one batched quadrature per path-loss exponent."""
-    links: dict[int, list[float]] = {}
-    for alpha in sorted({params.ple for params in points}):
-        which = [i for i, params in enumerate(points) if params.ple == alpha]
-        links.update(zip(which, _exponent_links([points[i] for i in which], ms, alpha)))
-    return [links[i] for i in range(len(points))]
-
-
-def _exponent_links(points: list[ScenarioParams], ms: range, alpha: int) -> list[list[float]]:
-    """P(m), m in ``ms``, of points that share the path-loss exponent ``alpha``.
+    """P(m), m in ``ms``, of points that share one path-loss exponent, in one quadrature.
 
     Each (point, m) integral is a lane on the abscissa row of its cutoff and
     m: the lanes cut at the gap scale (50+2m)/rho share a row across every
@@ -123,6 +114,7 @@ def _exponent_links(points: list[ScenarioParams], ms: range, alpha: int) -> list
     integrand in its order, so each value has the bits of its point
     integrated alone.
     """
+    alpha = points[0].ple
     m_col = np.array(ms, dtype=float)
     rho = np.array([params.rho for params in points])
     c = np.array([_snr_decay_coefficient(params) for params in points])
@@ -479,23 +471,27 @@ def grid_rows(points: Iterable[ScenarioParams], big_m: int,
               models: Collection[str]) -> Iterator[list[tuple[str, int | None, str, float | str]]]:
     """The rows of :func:`point_rows` for each point in turn, the same values.
 
-    Works through ``points`` in chunks of ``_GRID_CHUNK``: the fading links
-    of a whole chunk come first, from one batched quadrature, and its closed
-    forms, with one solve of every escalation in it; then each point's rows
-    are computed and yielded, so rows do not pile up.
+    The points share one path-loss exponent, that of the first; a point
+    with another raises ``ValueError``.  Works through ``points`` in chunks
+    of ``_GRID_CHUNK``: the fading links of a whole chunk come first, from
+    one batched quadrature, and at exponent 2 its closed forms, with one
+    solve of every escalation in it; then each point's rows are computed
+    and yielded, so rows do not pile up.
     """
     big_m = _require_neighbor_index(big_m)
     ms = range(1, big_m + 1)
     points = iter(points)
     fading = "rayleigh" in models
+    alpha = None
     while chunk := list(itertools.islice(points, _GRID_CHUNK)):
+        if alpha is None:
+            alpha = chunk[0].ple
+        if any(params.ple != alpha for params in chunk):
+            raise ValueError(f"every point of a grid needs path-loss exponent {alpha}")
         links = _link_probabilities(chunk, ms) if fading else [None] * len(chunk)
-        # which points have closed-form rows
-        closed = [fading and params.ple == 2 for params in chunk]
-        forms = iter(_closed_forms(list(itertools.compress(chunk, closed)), ms))
-        for params, point_links, has_forms in zip(chunk, links, closed):
-            yield _point_rows(params, ms, models, point_links,
-                              next(forms) if has_forms else None)
+        forms = _closed_forms(chunk, ms) if fading and alpha == 2 else [None] * len(chunk)
+        for params, point_links, point_forms in zip(chunk, links, forms):
+            yield _point_rows(params, ms, models, point_links, point_forms)
 
 
 def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],

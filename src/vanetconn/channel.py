@@ -70,6 +70,15 @@ def unit_disc_range(budget: LinkBudget, psi: float) -> float:
 # an inverse-CDF unit-mean exponential draw -ln(1 - u), a fading factor or a
 # headway times rho, never exceeds 53 ln 2 = 36.737.
 _EXP_DRAW_MAX = 37.0
+
+
+def _exponential_draws(u: np.ndarray) -> np.ndarray:
+    """Unit-mean exponential draws -ln(1 - u) of uniforms u in [0, 1), written over u."""
+    np.subtract(1.0, u, out=u)  # maps [0, 1) onto (0, 1]
+    np.log(u, out=u)
+    return np.negative(u, out=u)
+
+
 # far above the rounding of the reach and of the pair distances
 _REACH_MARGIN = 1.0 + 1e-6
 
@@ -95,9 +104,7 @@ def sample_rayleigh_snr(d: float, budget: LinkBudget, rng: np.random.Generator) 
     Received SNR is exponential with mean equal to the deterministic SNR at
     the same distance, sampled by inverse CDF for seed reproducibility.
     """
-    mean = deterministic_snr(d, budget)
-    u = 1.0 - rng.random()
-    return -mean * math.log(u)
+    return deterministic_snr(d, budget) * _exponential_draws(rng.random(1)).item()
 
 
 def snr_unit_disc(distances: np.ndarray, budget: LinkBudget) -> np.ndarray:
@@ -155,12 +162,8 @@ def snr_rayleigh(
     ``-means * log(1 - u)`` while holding only two pair-sized arrays.
     """
     snr = snr_unit_disc(distances, budget)
-    u = pair_uniforms(ahead, skipped, rng)
-    np.subtract(1.0, u, out=u)  # maps [0, 1) onto (0, 1]
-    np.log(u, out=u)
     with np.errstate(invalid="ignore"):
-        np.multiply(snr, u, out=snr)
-    np.negative(snr, out=snr)
+        np.multiply(snr, _exponential_draws(pair_uniforms(ahead, skipped, rng)), out=snr)
     # inf * 0 at coincident vehicles: keep the infinite-SNR limit
     snr[np.isnan(snr)] = np.inf
     return snr

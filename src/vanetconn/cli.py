@@ -50,7 +50,7 @@ _FLAG_OF_FIELD = {
 }
 
 
-# the most points one range may list; its count is checked before any is built
+# the most points a range or a grid may list; its count is checked before any is built
 _MAX_RANGE_POINTS = 10**6
 
 
@@ -283,6 +283,8 @@ def main(argv=None) -> int:
             setattr(args, dest, grid[dest])
         elif preset:
             parser.error(f"argument {flag}: not allowed with --preset {preset}")
+    if len(args.rho) * len(args.psi_db) > _MAX_RANGE_POINTS:
+        parser.error(f"the grid lists more than {_MAX_RANGE_POINTS} points")
     # every grid point is validated before any output is written
     try:
         points = [(rho, psi_db, _make_params(args, rho, psi_db)) for rho, psi_db in _grid(args)]

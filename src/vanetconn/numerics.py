@@ -116,15 +116,15 @@ def _abscissae(width: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return x, half[:, :panels]
 
 
-def integrate_semi_infinite(f: Callable[..., np.ndarray], upper, rows=None):
+def integrate_semi_infinite(f: Callable[..., np.ndarray], upper: np.ndarray, rows: np.ndarray):
     """Integrate a batch of decaying integrands over [0, inf).
 
-    ``upper`` is a scalar or a 1-D array with one cutoff per abscissa row:
-    row i lays its nodes on [0, upper[i]].  The infinite tail is cut there,
-    so the caller picks it where the neglected mass is negligible (an
-    exp(-rho*x) envelope makes upper = 50/rho enough, with the tail under
-    e^-50).  ``rows`` gives the row of each integral, so integrals with one
-    cutoff share their abscissae; without it integral i lies on row i.
+    ``upper`` is a 1-D array with one cutoff per abscissa row: row i lays
+    its nodes on [0, upper[i]].  The infinite tail is cut there, so the
+    caller picks it where the neglected mass is negligible (an exp(-rho*x)
+    envelope makes upper = 50/rho enough, with the tail under e^-50).
+    ``rows`` gives the row of each integral, so integrals with one cutoff
+    share their abscissae.
 
     ``f(x, ids, at, lanes)`` evaluates a block of at most 12 integrals, the
     indices ``lanes``: ``x`` holds the abscissae of the rows ``ids``, one
@@ -147,14 +147,10 @@ def integrate_semi_infinite(f: Callable[..., np.ndarray], upper, rows=None):
     and each of its nodes goes through the same operations whatever else is
     in the batch, so its value does not depend on the others.
 
-    Returns ``(values, abserr)``: the values, one per integral (shaped like
-    ``upper`` without ``rows``), and the largest error estimate over the
-    batch as a float.
+    Returns ``(values, abserr)``: the values, one per integral, and the
+    largest error estimate over the batch as a float.
     """
-    upper = np.asarray(upper, dtype=float)
     width = upper.reshape(-1, 1)
-    shape = upper.shape if rows is None else (len(rows),)
-    rows = np.arange(len(width)) if rows is None else np.asarray(rows)
     totals = np.zeros(len(rows))
     estimates = np.zeros(len(rows))
     # the integrals still to certify, row by row
@@ -170,7 +166,7 @@ def integrate_semi_infinite(f: Callable[..., np.ndarray], upper, rows=None):
         allowed = np.maximum(_QUAD_REL_TOL * np.abs(totals[pending]), _QUAD_ABS_FLOOR)
         failing = estimates[pending] > allowed
         if not failing.any():
-            return totals.reshape(shape), float(estimates.max(initial=0.0))
+            return totals, float(estimates.max(initial=0.0))
         if panels == _QUAD_MAX_PANELS:
             i = int(np.argmax(failing))
             raise QuadratureError(

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _EXP_DRAW_MAX, LinkBudget, unit_disc_range
+from .channel import _EXP_DRAW_MAX, LinkBudget, _exponential_draws, unit_disc_range
 
 __all__ = [
     "ScenarioParams",
@@ -98,12 +98,10 @@ class PairBlock(NamedTuple):
 def sample_headways(params: ScenarioParams, rng: np.random.Generator) -> np.ndarray:
     """Draw the N-1 intervehicle spacings, i.i.d. exponential with rate rho.
 
-    Uses the inverse CDF x = -ln(u)/rho with u uniform on (0, 1], so a fixed
-    seed reproduces the same vector on any platform.
+    Uses the inverse CDF x = -ln(1 - u)/rho with u uniform on [0, 1), so a
+    fixed seed reproduces the same vector on any platform.
     """
-    n = params.n_vehicles - 1
-    u = 1.0 - rng.random(n)  # maps [0, 1) onto (0, 1]
-    return -np.log(u) / params.rho
+    return _exponential_draws(rng.random(params.n_vehicles - 1)) / params.rho
 
 
 def pair_blocks(headways: np.ndarray, reach: float) -> Iterator[PairBlock]:
@@ -159,27 +157,20 @@ def _require_neighbor_index(m) -> int:
     return int(m)
 
 
-def erlang_pdf(x, m: int, rho: float):
+def erlang_pdf(x: float, m: int, rho: float) -> float:
     """Density of the gap to the m-th neighbour: rho^m x^(m-1) e^(-rho x)/(m-1)!.
 
     m = 1 reduces to the exponential spacing density.  Computed in log space
-    so large m does not overflow the factorial.  Accepts scalars or arrays;
-    negative x has zero density.
+    so large m does not overflow the factorial.  Negative x has zero density.
     """
     m = _require_neighbor_index(m)
     if not rho > 0:
         raise ValueError(f"density must be > 0, got {rho!r}")
-    x_arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(x_arr)
-    log_norm = m * math.log(rho) - math.lgamma(m)
-    pos = x_arr > 0
-    with np.errstate(divide="ignore"):
-        out[pos] = np.exp(log_norm + (m - 1) * np.log(x_arr[pos]) - rho * x_arr[pos])
-    if m == 1:
-        out[x_arr == 0] = rho
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    if x < 0:
+        return 0.0
+    if x == 0:
+        return float(rho) if m == 1 else 0.0
+    return math.exp(m * math.log(rho) - math.lgamma(m) + (m - 1) * math.log(x) - rho * x)
 
 
 def erlang_cdf(x: float, m: int, rho: float) -> float:

@@ -416,7 +416,7 @@ def _link_one_integral(params, m):
         y -= c * x**alpha
         return np.exp(y)
 
-    value, _ = analytic.integrate_semi_infinite(integrand, np.array([upper]))
+    value, _ = analytic.integrate_semi_infinite(integrand, np.array([upper]), np.array([0]))
     return min(max(float(value[0]), 0.0), 1.0)
 
 
@@ -448,11 +448,19 @@ def test_chunk_link_probabilities_equal_one_point_calls(make_params, monkeypatch
     for params, links in zip(points, chunk):
         for m in (1, 2, 3, 10, 57, 200, 400):
             assert links[m - 1] == p_sl_rayleigh(params, m) == _link_one_integral(params, m), m
-    # points of every exponent in one chunk give the same values
-    if alpha == 6:
-        mixed = [make_params(rho=0.019, psi_db=5.0, ple=ple) for ple in (3, 1, 6, 2, 4)]
-        assert analytic._link_probabilities(mixed, ms) == [
-            analytic._link_probabilities([params], ms)[0] for params in mixed]
+
+
+@pytest.mark.parametrize("models", [("unit_disc",), ("rayleigh",)])
+def test_grid_rows_rejects_points_of_two_path_loss_exponents(make_params, monkeypatch, models):
+    # the points of a grid share the first point's exponent, in every chunk
+    mixed = [make_params(ple=2), make_params(ple=3)]
+    with pytest.raises(ValueError, match="path-loss exponent 2"):
+        next(analytic.grid_rows(mixed, 3, models))
+    monkeypatch.setattr(analytic, "_GRID_CHUNK", 1)
+    rows = analytic.grid_rows(mixed, 3, models)
+    assert next(rows) == analytic.point_rows(mixed[0], 3, models)
+    with pytest.raises(ValueError, match="path-loss exponent 2"):
+        next(rows)
 
 
 def test_grid_rows_peak_memory_stays_at_the_per_point_quadrature(make_params):

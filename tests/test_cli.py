@@ -108,6 +108,20 @@ def test_range_spec_point_ceiling(monkeypatch):
         _parse_value_spec("0:10:1")
 
 
+def test_grid_point_ceiling(monkeypatch, tmp_path):
+    # the ceiling bounds the grid too, before any of its points is built
+    monkeypatch.setattr("vanetconn.cli._MAX_RANGE_POINTS", 10)
+    out = tmp_path / "grid.csv"
+    assert main(["analytic", "--rho", "0.01:0.03:0.01", "--psi-db", "0:10:5", "--big-m", "1",
+                 "--out", str(out)]) == 0
+    out.unlink()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analytic", "--rho", "0.01:0.04:0.01", "--psi-db", "0:15:5", "--big-m", "1",
+              "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rho, where, flag", [
     ("0.019", "missing_dir", "--out"),
     ("0.019", "a_directory", "--out"),

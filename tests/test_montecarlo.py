@@ -31,6 +31,26 @@ def _trial_edges(params, model, rng):
     return montecarlo._trial_edges(sample_headways(params, rng), params, model, rng)
 
 
+def test_benchmark_tracer_hooks_exist(make_params, monkeypatch):
+    # bench/spans.py wraps these by name, and bench/run.py expects one call
+    # of the module-level run_trial per (cell, trial) of a traced run
+    assert callable(analytic._closed_form_mp)
+    for method in ("network_connectivity", "single_link", "node_degree",
+                   "vehicle_connectivity", "decider_mismatches"):
+        assert callable(getattr(montecarlo.EnsembleResult, method)), method
+    calls = []
+    trial = montecarlo.run_trial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trial(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trial", counted)
+    sweep([make_params(rho=0.02), make_params(rho=0.03)], MODELS, trials=3, master_seed=1,
+          big_m=2)
+    assert len(calls) == 2 * len(MODELS) * 3 == 12
+
+
 def test_trial_outcome_is_one_row_of_the_ensemble_arrays():
     # run_ensemble stacks the outcomes field by field into these arrays
     fields = [field.name for field in dataclasses.fields(montecarlo.EnsembleResult)]

@@ -12,14 +12,20 @@ from vanetconn.numerics import (
 )
 
 
+def _integrate_one(f, upper):
+    """One integral on [0, upper], alone on its abscissa row: (value, abserr)."""
+    values, err = integrate_semi_infinite(f, np.array([upper]), np.array([0]))
+    return values[0], err
+
+
 def test_exponential_integral():
-    value, err = integrate_semi_infinite(lambda x, *_: np.exp(-x), upper=60.0)
+    value, err = _integrate_one(lambda x, *_: np.exp(-x), 60.0)
     assert abs(value - 1.0) < 1e-10
     assert err < 1e-9
 
 
 def test_gamma_two_integral():
-    value, _ = integrate_semi_infinite(lambda x, *_: x * np.exp(-x), upper=80.0)
+    value, _ = _integrate_one(lambda x, *_: x * np.exp(-x), 80.0)
     assert abs(value - 1.0) < 1e-10
 
 
@@ -31,9 +37,7 @@ def test_shifted_gaussian_against_erfc_closed_form():
     expected = math.sqrt(math.pi / (4 * b)) * math.exp(a * a / (4 * b)) * math.erfc(
         a / (2 * math.sqrt(b))
     )
-    value, _ = integrate_semi_infinite(
-        lambda x, *_: np.exp(-a * x - b * x * x), upper=50.0 / a
-    )
+    value, _ = _integrate_one(lambda x, *_: np.exp(-a * x - b * x * x), 50.0 / a)
     assert abs(expected - 48.7) < 0.2, "sanity: the frozen magnitude of the oracle"
     assert abs(value - expected) < 1e-8 * expected
 
@@ -41,7 +45,7 @@ def test_shifted_gaussian_against_erfc_closed_form():
 def test_nonconvergence_is_an_explicit_failure():
     # about 6400 oscillations on [0, 50] exhaust the 256 panels
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda x, *_: np.sin(400.0 * x) ** 2 * np.exp(-x), upper=50.0)
+        _integrate_one(lambda x, *_: np.sin(400.0 * x) ** 2 * np.exp(-x), 50.0)
 
 
 def test_bisected_panels_certify_an_oscillating_integrand():
@@ -49,14 +53,13 @@ def test_bisected_panels_certify_an_oscillating_integrand():
     # the 16 starting panels fail their check and the rule reruns on more
     for k in (20.0, 40.0):
         expected = 0.5 - 0.5 / (1.0 + 4.0 * k * k)
-        value, err = integrate_semi_infinite(lambda x, *_: np.exp(-x) * np.sin(k * x) ** 2,
-                                             upper=50.0)
+        value, err = _integrate_one(lambda x, *_: np.exp(-x) * np.sin(k * x) ** 2, 50.0)
         assert abs(value - expected) < 1e-12 * expected, f"k={k}"
         assert err <= 1e-10 * value
 
 
 def test_error_bound_is_relative_to_a_tiny_value():
-    value, err = integrate_semi_infinite(lambda x, *_: 1e-250 * np.exp(-x), upper=60.0)
+    value, err = _integrate_one(lambda x, *_: 1e-250 * np.exp(-x), 60.0)
     assert abs(value - 1e-250) < 1e-13 * 1e-250
     assert err <= 1e-10 * value
 
@@ -72,10 +75,10 @@ def test_each_integral_of_a_batch_is_its_own():
     # value is the bits it has alone, and the error estimate is the largest one
     k = np.array([1.0, 40.0, 3.0, 20.0])
     upper = np.array([50.0, 50.0, 30.0, 60.0])
-    values, err = integrate_semi_infinite(_oscillating(k), upper)
+    values, err = integrate_semi_infinite(_oscillating(k), upper, np.arange(4))
     assert values.shape == (4,) and isinstance(err, float)
-    alone = [integrate_semi_infinite(_oscillating(k[i:i + 1]), upper[i:i + 1]) for i in range(4)]
-    assert values.tolist() == [v[0] for v, _ in alone]
+    alone = [_integrate_one(_oscillating(k[i:i + 1]), upper[i]) for i in range(4)]
+    assert values.tolist() == [v for v, _ in alone]
     assert err == max(e for _, e in alone)
 
 
@@ -98,9 +101,8 @@ def test_integrals_that_share_a_row_keep_the_bits_they_have_alone():
 
     values, err = integrate_semi_infinite(integrand, upper, rows)
     assert values.shape == (40,) and isinstance(err, float)
-    alone = [integrate_semi_infinite(_oscillating(k[i:i + 1]), upper[rows[i]:rows[i] + 1])
-             for i in range(40)]
-    assert values.tolist() == [v[0] for v, _ in alone]
+    alone = [_integrate_one(_oscillating(k[i:i + 1]), upper[rows[i]]) for i in range(40)]
+    assert values.tolist() == [v for v, _ in alone]
     assert err == max(e for _, e in alone)
     # (panels, lanes) of each block: at most 12 lanes on the first panels,
     # half as many each time they double, and only the reruns go on
