@@ -15,7 +15,7 @@ from collections.abc import Collection, Iterable, Iterator
 import numpy as np
 
 from . import channel, scenario
-from .numerics import _or_inf, integrate_semi_infinite, upper_incomplete_gamma
+from .numerics import _or_inf, _upper_incomplete_gammas, integrate_semi_infinite
 from .scenario import ScenarioParams, _require_neighbor_index
 
 __all__ = [
@@ -306,9 +306,11 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
     0 to m-1, with the operations of a scalar Kahan loop: each term is the
     binomial, an exact running product converted to a float as Python
     converts the int, times the power from Python's ``**``, times the
-    gamma from :func:`upper_incomplete_gamma`, so every lane gets the
-    scalar bits.  Rows run from the largest m down, so the lanes still
-    summing at step k are a prefix.  A power, binomial or gamma that
+    gamma, so every lane gets the scalar bits.  The gammas Gamma(j/2, z),
+    j = 1..max(ms), of every point with z < ``_EXP_GUARD`` are one table,
+    solved in one ``numerics._upper_incomplete_gammas`` call with the bits
+    of ``numerics.upper_incomplete_gamma``.  Rows run from the largest m
+    down, so the lanes still summing at step k are a prefix.  A power, binomial or gamma that
     overflows is inf, as is every gamma at z >= ``_EXP_GUARD``, so their
     sums fail the same test as a cancellation too deep for double
     precision, and are not certified.  The prefactor's log, lgamma
@@ -320,9 +322,8 @@ def _closed_form_sums(a_s: list[float], z_s: list[float],
     z = np.array(z_s, dtype=float)
     near = z < _EXP_GUARD
     gammas = np.full((top, len(z_s)), math.inf)
-    gammas[:, near] = np.reshape(_or_inf(upper_incomplete_gamma,
-                                         np.repeat(0.5 * np.arange(1, top + 1), near.sum()).tolist(),
-                                         np.tile(z[near], top).tolist()), (top, -1))
+    gammas[:, near] = _upper_incomplete_gammas(np.repeat(0.5 * np.arange(1, top + 1), near.sum()),
+                                               np.tile(z[near], top), _or_inf).reshape(top, -1)
     powers = np.array([_or_inf((-0.5 * a).__pow__, range(top))
                        for a in a_s]).reshape(len(a_s), top).T
     m_rows = np.arange(top, ms.start - 1, -1)
@@ -461,7 +462,7 @@ def point_rows(params: ScenarioParams, big_m: int,
     its public function's, computed in one pass: the unit-disc links of
     m = 1..big_m from one running sum of the Poisson head, the fading links
     from one quadrature batch, which both vehicle-connectivity products
-    read, and at path-loss exponent 2 the closed forms from one list of
+    read, and at path-loss exponent 2 the closed forms from one table of
     incomplete gammas.  This is the one-point case of :func:`grid_rows`.
     """
     return next(grid_rows([params], big_m, models))
@@ -476,13 +477,15 @@ def grid_rows(points: Iterable[ScenarioParams], big_m: int,
     of ``_GRID_CHUNK``: the fading links of a whole chunk come first, from
     one batched quadrature, and at exponent 2 its closed forms, with one
     solve of every escalation in it; then each point's rows are computed
-    and yielded, so rows do not pile up.
+    and yielded, so rows do not pile up.  The average SNRs are computed
+    once for each run of consecutive points with equal rho and radio
+    budget, at the run's first point.
     """
     big_m = _require_neighbor_index(big_m)
     ms = range(1, big_m + 1)
     points = iter(points)
     fading = "rayleigh" in models
-    alpha = None
+    alpha = density = None
     while chunk := list(itertools.islice(points, _GRID_CHUNK)):
         if alpha is None:
             alpha = chunk[0].ple
@@ -491,12 +494,29 @@ def grid_rows(points: Iterable[ScenarioParams], big_m: int,
         links = _link_probabilities(chunk, ms) if fading else [None] * len(chunk)
         forms = _closed_forms(chunk, ms) if fading and alpha == 2 else [None] * len(chunk)
         for params, point_links, point_forms in zip(chunk, links, forms):
-            yield _point_rows(params, ms, models, point_links, point_forms)
+            if (params.rho, params.budget) != density:
+                density, snrs = (params.rho, params.budget), _average_snrs(params, ms, models)
+            yield _point_rows(params, ms, models, point_links, point_forms, snrs)
+
+
+def _average_snrs(params: ScenarioParams, ms: range,
+                  models: Collection[str]) -> dict[str, list[float | str]]:
+    """The avg_snr values of m in ``ms`` of each model in ``models``, "diverges" where infinite.
+
+    They depend on the point only through rho and its radio budget, so
+    :func:`grid_rows` computes them once for a run of points that share
+    those.  The unit disc's come first, as in the rows, so where both
+    overflow its error is the one raised.
+    """
+    return {model: [average(params, m) if _finite_mean(params, m) else "diverges" for m in ms]
+            for model, average in (("unit_disc", avg_snr_ud), ("rayleigh", avg_snr_rayleigh))
+            if model in models}
 
 
 def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
-                links: list[float] | None,
-                closed: list[float] | None) -> list[tuple[str, int | None, str, float | str]]:
+                links: list[float] | None, closed: list[float] | None,
+                snrs: dict[str, list[float | str]],
+                ) -> list[tuple[str, int | None, str, float | str]]:
     big_m = len(ms)
     lam = communication_range(params)
     rows = []
@@ -504,8 +524,7 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
         disc = list(itertools.islice(scenario._erlang_cdfs(params.rho * lam), big_m))
         rows.append(("unit_disc", None, "unit_disc_range_m", lam))
         rows += [("unit_disc", m, "p_single_link", p) for m, p in zip(ms, disc)]
-        rows += [("unit_disc", m, "avg_snr", avg_snr_ud(params, m) if _finite_mean(params, m)
-                  else "diverges") for m in ms]
+        rows += [("unit_disc", m, "avg_snr", snr) for m, snr in zip(ms, snrs["unit_disc"])]
         rows += [("unit_disc", None, "p_network", p_network_ud(params)),
                  ("unit_disc", None, "p_vehicle_one_side", disc[0]),
                  ("unit_disc", None, "avg_node_degree", 2.0 * params.rho * lam)]
@@ -513,8 +532,7 @@ def _point_rows(params: ScenarioParams, ms: range, models: Collection[str],
         rows += [("rayleigh", m, "p_single_link", p) for m, p in zip(ms, links)]
         if closed is not None:
             rows += [("rayleigh", m, "p_single_link_closed", p) for m, p in zip(ms, closed)]
-        rows += [("rayleigh", m, "avg_snr", avg_snr_rayleigh(params, m) if _finite_mean(params, m)
-                  else "diverges") for m in ms]
+        rows += [("rayleigh", m, "avg_snr", snr) for m, snr in zip(ms, snrs["rayleigh"])]
         one_side, two_side = _vehicle_connectivity(links)
         rows += [("rayleigh", None, "avg_node_degree", avg_node_degree(params)),
                  ("rayleigh", big_m, "p_vehicle_one_side", one_side),

@@ -4,8 +4,10 @@
 composite Gauss–Legendre rule in numpy, its nodes and weights tabulated here,
 so no run imports ``numpy.polynomial`` or solves for them; integrals with one
 cutoff share their abscissae, which the link probabilities of a grid chunk do.
-``upper_incomplete_gamma`` serves the path-loss-exponent-2 closed form, which
-reads it through ``_or_inf`` as inf where it overflows.
+``_upper_incomplete_gammas`` serves the path-loss-exponent-2 closed form: it
+solves a whole table of incomplete gammas as numpy lanes in one call, each
+lane with the bits of the scalar loop, and reads a value that overflows as
+inf.  ``upper_incomplete_gamma`` is its one-lane case.
 """
 
 from __future__ import annotations
@@ -234,55 +236,117 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
 
     Power series below x = s + 1, modified-Lentz continued fraction above it;
     both run to machine precision, giving ~1e-13 relative error over the
-    arguments used here (s up to a few tens, x up to ~740).
+    arguments used here (s up to a few tens, x up to ~740).  This is the
+    one-lane case of :func:`_upper_incomplete_gammas`, except that where the
+    closing ``exp`` or ``gamma`` overflows it raises their ``OverflowError``.
     """
     if not (s > 0):
         raise ValueError(f"shape must be > 0, got {s!r}")
     if x < 0:
         raise ValueError(f"lower limit must be >= 0, got {x!r}")
-    if x == 0.0:
-        return math.gamma(s)
-    if x < s + 1.0:
-        return _upper_gamma_series(s, x)
-    return _upper_gamma_contfrac(s, x)
+    value, = _upper_incomplete_gammas(np.array([s], dtype=float), np.array([x], dtype=float),
+                                      map).tolist()
+    return value
 
 
-def _upper_gamma_series(s: float, x: float) -> float:
-    # lower gamma by series, upper by complement; the series branch keeps the
-    # complement from cancelling badly since x < s + 1
-    ap = s
+def _upper_incomplete_gammas(s: np.ndarray, x: np.ndarray,
+                             each: Callable[..., Iterable[float]]) -> np.ndarray:
+    """``upper_incomplete_gamma(s[i], x[i])`` of every lane i.
+
+    The lanes of each branch run their loop together in numpy, each with the
+    operations of the scalar loop in the same order, and leave it at the step
+    where that loop returns, so every lane gets the same bits whatever the
+    batch; like Python floats, the lanes overflow to inf and make NaN
+    silently.  The closing ``exp``, ``log`` and ``gamma`` are ``math`` calls
+    per lane, which ``each(f, *columns)`` makes: with ``_or_inf`` a lane
+    whose closing raises ``OverflowError`` is inf, with ``map`` the error
+    propagates.  A loop that reaches its step limit raises
+    ``QuadratureError``.  The arguments are 1-D arrays of equal length with
+    s > 0 and x >= 0.
+    """
+    values = np.empty(len(s))
+    zero = x == 0.0
+    series = ~zero & (x < s + 1.0)
+    contfrac = ~(zero | series)
+    values[zero] = list(each(math.gamma, s[zero].tolist()))
+    with np.errstate(all="ignore"):
+        values[series] = list(each(_series_closing, s[series].tolist(), x[series].tolist(),
+                                   _series_lanes(s[series], x[series]).tolist()))
+        values[contfrac] = list(each(_contfrac_closing, s[contfrac].tolist(),
+                                     x[contfrac].tolist(),
+                                     _contfrac_lanes(s[contfrac], x[contfrac]).tolist()))
+    return values
+
+
+def _series_lanes(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The power series of the lower gamma of each lane, x < s + 1, to machine precision."""
+    totals = np.empty(len(s))
+    lanes = np.arange(len(s))
+    ap = s.copy()
     term = 1.0 / s
-    total = term
+    total = term.copy()
+    x_left = x
     for _ in range(_MAX_SERIES_ITER):
+        if not len(lanes):
+            break
         ap += 1.0
-        term *= x / ap
+        term *= x_left / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
-            lower = total * math.exp(-x + s * math.log(x))
-            return math.gamma(s) - lower
-    raise QuadratureError(f"incomplete gamma series stalled at s={s}, x={x}")
+        done = np.abs(term) < np.abs(total) * _EPS
+        if done.any():
+            totals[lanes[done]] = total[done]
+            going = ~done
+            lanes, x_left = lanes[going], x_left[going]
+            ap, term, total = ap[going], term[going], total[going]
+    if len(lanes):
+        i = lanes[0]
+        raise QuadratureError(f"incomplete gamma series stalled at s={s[i]}, x={x[i]}")
+    return totals
 
 
-def _upper_gamma_contfrac(s: float, x: float) -> float:
+def _series_closing(s: float, x: float, total: float) -> float:
+    # upper gamma by complement of the lower; the series branch keeps the
+    # complement from cancelling badly since x < s + 1
+    lower = total * math.exp(-x + s * math.log(x))
+    return math.gamma(s) - lower
+
+
+def _contfrac_lanes(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The modified-Lentz continued fraction of each lane, x >= s + 1, to machine precision."""
+    products = np.empty(len(s))
+    lanes = np.arange(len(s))
+    s_left = s
     b = x + 1.0 - s
-    c = 1.0 / _TINY
+    c = np.full(len(s), 1.0 / _TINY)
     d = 1.0 / b
-    h = d
+    h = d.copy()
     for i in range(1, _MAX_CF_ITER):
-        an = -i * (i - s)
+        if not len(lanes):
+            break
+        an = -i * (i - s_left)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        d *= an
+        d += b
+        d[np.abs(d) < _TINY] = _TINY
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        c[np.abs(c) < _TINY] = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return math.exp(-x + s * math.log(x)) * h
-    raise QuadratureError(f"incomplete gamma continued fraction stalled at s={s}, x={x}")
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            products[lanes[done]] = h[done]
+            going = ~done
+            lanes, s_left = lanes[going], s_left[going]
+            b, c, d, h = b[going], c[going], d[going], h[going]
+    if len(lanes):
+        i = lanes[0]
+        raise QuadratureError(f"incomplete gamma continued fraction stalled at s={s[i]}, x={x[i]}")
+    return products
+
+
+def _contfrac_closing(s: float, x: float, h: float) -> float:
+    return math.exp(-x + s * math.log(x)) * h
 
 
 def _or_inf(f, *columns: Iterable) -> list[float]:

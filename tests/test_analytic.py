@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import tracemalloc
@@ -331,15 +332,16 @@ def _closed_form_per_call(params, m):
     return min(1.0, analytic._closed_form_mp(m, a, z) if isinstance(value, str) else value)
 
 
-def _assert_sum_lanes_give_the_scalar_sums(a_s, ms):
+def _assert_sum_lanes_give_the_scalar_sums(a_s, ms, scalar_gamma):
     # every (a, m) lane: the same certified value, or escalated where the
-    # scalar loop escalates; returns why each escalated lane escalates
+    # scalar loop over the scalar incomplete gamma escalates; returns why
+    # each escalated lane escalates
     z_s = [0.25 * a * a for a in a_s]
     values, certified = analytic._closed_form_sums(a_s, z_s, ms)
     assert values.shape == certified.shape == (len(a_s), len(ms))
     reasons = {}
     for i, (a, z) in enumerate(zip(a_s, z_s)):
-        gamma = functools.cache(upper_incomplete_gamma)
+        gamma = functools.cache(scalar_gamma)
         for j, m in enumerate(ms):
             expected = _closed_form_sum_per_term(m, a, z, gamma)
             if isinstance(expected, str):
@@ -350,18 +352,18 @@ def _assert_sum_lanes_give_the_scalar_sums(a_s, ms):
     return reasons
 
 
-def test_sum_lanes_give_the_scalar_sums_on_the_seeded_lanes():
+def test_sum_lanes_give_the_scalar_sums_on_the_seeded_lanes(scalar_upper_gamma):
     a_s = sorted({a for _, a, _ in _seeded_lanes()})
-    reasons = _assert_sum_lanes_give_the_scalar_sums(a_s, range(1, 41))
+    reasons = _assert_sum_lanes_give_the_scalar_sums(a_s, range(1, 41), scalar_upper_gamma)
     assert set(reasons) == {"uncertified"}
 
 
-def test_sum_lanes_give_the_scalar_sums_on_the_corner_grid(make_params):
+def test_sum_lanes_give_the_scalar_sums_on_the_corner_grid(make_params, scalar_upper_gamma):
     # the --big-m 400 golden grid: every way a sum escalates
     points = [make_params(rho=rho, psi_db=psi_db)
               for rho in (0.0002, 0.002, 0.03, 0.3) for psi_db in (-10.0, 0.0, 20.0)]
     a_s = [params.rho * communication_range(params) for params in points]
-    reasons = _assert_sum_lanes_give_the_scalar_sums(a_s, range(1, 401))
+    reasons = _assert_sum_lanes_give_the_scalar_sums(a_s, range(1, 401), scalar_upper_gamma)
     assert min(m for _, m in reasons["term overflows"]) == 234
     assert min(m for _, m in reasons["gamma overflows"]) == 344
     assert len(reasons["z >= 700"]) == 1200
@@ -369,12 +371,12 @@ def test_sum_lanes_give_the_scalar_sums_on_the_corner_grid(make_params):
 
 
 @pytest.mark.parametrize("m", [1, 2, 40, 234, 344, 400])
-def test_sum_lanes_give_the_scalar_sums_for_one_neighbour(make_params, m):
+def test_sum_lanes_give_the_scalar_sums_for_one_neighbour(make_params, scalar_upper_gamma, m):
     # a span that starts at m, as the scalar function passes it
     a_s = [params.rho * communication_range(params) for params in (
         make_params(rho=0.0002, psi_db=-10.0), make_params(rho=0.03, psi_db=0.0),
         make_params(rho=0.019, psi_db=15.0))]
-    _assert_sum_lanes_give_the_scalar_sums(a_s, range(m, m + 1))
+    _assert_sum_lanes_give_the_scalar_sums(a_s, range(m, m + 1), scalar_upper_gamma)
 
 
 @pytest.mark.parametrize("rho, psi_db, neighbours", [
@@ -563,6 +565,40 @@ def test_point_rows_do_not_depend_on_the_points_before(make_params):
     forward = [analytic.point_rows(params, 10, models) for params in points]
     again = [analytic.point_rows(params, 10, models) for params in [*reversed(points), *points]]
     assert again == [*reversed(forward), *forward]
+
+
+_TX_MW = (500.0, 2000.0, 2000.0, 8000.0)
+
+
+@pytest.mark.parametrize("grid", ["rho-major", "psi-major", "tx-power"])
+def test_grid_rows_read_the_average_snrs_of_each_density(make_params, monkeypatch, grid):
+    # grid_rows computes a model's average SNRs once for each run of points
+    # with equal rho and radio budget; every point keeps its own rows, also
+    # where consecutive points share rho but not the transmit power
+    if grid == "rho-major":
+        points = [make_params(rho=rho, psi_db=psi_db) for rho in _RHO for psi_db in _PSI_DB]
+    elif grid == "psi-major":
+        points = [make_params(rho=rho, psi_db=psi_db) for psi_db in _PSI_DB for rho in _RHO]
+    else:
+        points = [make_params(rho=rho, tx_power=tx) for rho in _RHO for tx in _TX_MW]
+    runs = 1 + sum((p.rho, p.budget) != (q.rho, q.budget) for p, q in zip(points, points[1:]))
+    assert runs == {"rho-major": 3, "psi-major": 9, "tx-power": 9}[grid]
+    calls = []
+
+    def counted(model, average):
+        def wrapper(params, m):
+            calls.append(model)
+            return average(params, m)
+        return wrapper
+
+    monkeypatch.setattr(analytic, "avg_snr_ud", counted("unit_disc", avg_snr_ud))
+    monkeypatch.setattr(analytic, "avg_snr_rayleigh", counted("rayleigh", avg_snr_rayleigh))
+    for models in _MODEL_SUBSETS:
+        expected = [analytic.point_rows(params, 5, models) for params in points]
+        calls.clear()
+        assert list(analytic.grid_rows(points, 5, models)) == expected, models
+        # m = 3..5 have a finite mean at path-loss exponent 2
+        assert collections.Counter(calls) == {model: 3 * runs for model in models}, models
 
 
 def _p_sl_rayleigh_mp(params, m):

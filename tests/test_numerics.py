@@ -223,3 +223,59 @@ def test_upper_gamma_domain():
         upper_incomplete_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         upper_incomplete_gamma(1.0, -0.1)
+
+
+def _gamma_table():
+    # s = j/2 for j = 1..80; x from 0 through both sides of the branch point
+    # x = s + 1 (one ulp either side, and on it) up to 740
+    s, x = [], []
+    for j in range(1, 81):
+        shape = 0.5 * j
+        edge = shape + 1.0
+        for lower in (0.0, 1e-300, 1e-8, 0.3, 1.0, 0.5 * shape, shape, math.nextafter(edge, 0.0),
+                      edge, math.nextafter(edge, math.inf), edge + 0.5, 2.0 * edge, 100.0,
+                      350.0, 699.0, 740.0):
+            s.append(shape)
+            x.append(lower)
+    return np.array(s), np.array(x)
+
+
+def test_incomplete_gamma_lanes_give_the_scalar_bits(scalar_upper_gamma):
+    s, x = _gamma_table()
+    series = (x > 0) & (x < s + 1.0)
+    assert series.sum() > 500 and (x >= s + 1.0).sum() > 500
+    expected = numerics._or_inf(scalar_upper_gamma, s.tolist(), x.tolist())
+    assert numerics._upper_incomplete_gammas(s, x, numerics._or_inf).tolist() == expected
+    # and a lane's bits do not depend on the batch: the public scalar and
+    # the table in reverse
+    assert [upper_incomplete_gamma(*lane) for lane in zip(s.tolist(), x.tolist())] == expected
+    reverse = numerics._upper_incomplete_gammas(s[::-1], x[::-1], numerics._or_inf)
+    assert reverse.tolist() == expected[::-1]
+
+
+def test_incomplete_gamma_lanes_of_an_empty_table():
+    values = numerics._upper_incomplete_gammas(np.empty(0), np.empty(0), numerics._or_inf)
+    assert values.shape == (0,)
+
+
+@pytest.mark.parametrize("s, x", [(200.0, 0.0), (200.0, 10.0), (300.0, 400.0)])
+def test_incomplete_gamma_lane_whose_closing_overflows(scalar_upper_gamma, s, x):
+    # Gamma(200) overflows in the complete and the series closing,
+    # e^(-x + s log x) in the continued fraction's
+    with pytest.raises(OverflowError):
+        scalar_upper_gamma(s, x)
+    values = numerics._upper_incomplete_gammas(np.array([0.5, s, 2.5]), np.array([1.0, x, 20.0]),
+                                               numerics._or_inf)
+    assert values.tolist() == [scalar_upper_gamma(0.5, 1.0), math.inf,
+                               scalar_upper_gamma(2.5, 20.0)]
+    with pytest.raises(OverflowError):
+        upper_incomplete_gamma(s, x)
+
+
+@pytest.mark.parametrize("limit", ["_MAX_SERIES_ITER", "_MAX_CF_ITER"])
+def test_incomplete_gamma_table_raises_at_the_step_limit(monkeypatch, limit):
+    # a table with lanes of both loops; the loop held to three steps raises
+    monkeypatch.setattr(numerics, limit, 3)
+    s, x = np.array([5.5, 2.5, 1.0]), np.array([1.0, 20.0, 0.0])
+    with pytest.raises(QuadratureError):
+        numerics._upper_incomplete_gammas(s, x, numerics._or_inf)
